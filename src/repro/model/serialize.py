@@ -119,9 +119,17 @@ def execution_from_dict(data: Dict[str, Any]) -> ProgramExecution:
     )
 
 
+def canonical_json(exe: ProgramExecution) -> str:
+    """The execution's canonical JSON document: sorted keys, no
+    whitespace -- the text :func:`execution_fingerprint` hashes."""
+    return json.dumps(
+        execution_to_dict(exe), sort_keys=True, separators=(",", ":")
+    )
+
+
 def execution_fingerprint(exe: ProgramExecution) -> str:
     """Content identity of one execution: the sha256 of its canonical
-    JSON document.
+    JSON document (:func:`canonical_json`).
 
     This is the key of the daemon's persistent witness store and of the
     ``repro serve`` API: two clients POSTing byte-different but
@@ -131,10 +139,7 @@ def execution_fingerprint(exe: ProgramExecution) -> str:
     execution *only* -- witnesses are facts about ``F``, valid under
     any budget or solver plan.
     """
-    blob = json.dumps(
-        execution_to_dict(exe), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(exe).encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------

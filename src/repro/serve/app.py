@@ -114,7 +114,7 @@ class _BadRequest(Exception):
     """Client error; message is served verbatim in the 400 body."""
 
 
-def _require_model_match(doc: Dict[str, Any], exe: Any) -> None:
+def _require_model_match(doc: Dict[str, Any], memory_model: str) -> None:
     """Enforce an explicit ``memory_model`` claim in a request.
 
     A client that says which model it believes it is talking about must
@@ -130,10 +130,10 @@ def _require_model_match(doc: Dict[str, Any], exe: Any) -> None:
         model = resolve_memory_model(str(requested))
     except ValueError as exc:
         raise _BadRequest(str(exc))
-    if model.name != exe.memory_model:
+    if model.name != memory_model:
         raise _BadRequest(
             f"memory model mismatch: request says {model.name!r} but the "
-            f"execution was recorded under {exe.memory_model!r}"
+            f"execution was recorded under {memory_model!r}"
         )
 
 
@@ -680,7 +680,7 @@ class QueryDaemon:
             exe = serialize.execution_from_dict(exe_doc)
         except (ValueError, KeyError, TypeError) as exc:
             raise _BadRequest(f"bad execution document: {exc}")
-        _require_model_match(doc, exe)
+        _require_model_match(doc, exe.memory_model)
         with obs.phase("store.write"):
             try:
                 fp = self.store.put_execution(exe)
@@ -758,11 +758,11 @@ class QueryDaemon:
                     raise _ReadOnly(
                         f"could not store the execution durably: {exc}"
                     )
-        elif fp not in self.store:
-            return 404, {"error": f"no stored execution {fp}"}, None
         with obs.phase("store.read"):
-            exe = self.store.execution(fp)
-        _require_model_match(doc, exe)
+            stored = self.store.lookup(fp)
+        if stored is None:
+            return 404, {"error": f"no stored execution {fp}"}, None
+        _require_model_match(doc, stored.memory_model)
         # -- validate the relation ------------------------------------
         relation = str(doc.get("relation", "race")).lower()
         if relation not in QUERY_RELATIONS:
@@ -779,11 +779,10 @@ class QueryDaemon:
                 raise _BadRequest(
                     f"relation {relation!r} needs integer event ids 'a' and 'b'"
                 )
-            known = set(exe.eids)
-            if a not in known or b not in known:
+            if not (0 <= a < stored.events and 0 <= b < stored.events):
                 raise _BadRequest(
                     f"event ids must be within this execution's "
-                    f"0..{len(exe.events) - 1}"
+                    f"0..{stored.events - 1}"
                 )
         # -- clamp the requested budget to the server's caps ----------
         req_states = doc.get("max_states")
@@ -801,19 +800,16 @@ class QueryDaemon:
             default_timeout=self.default_timeout,
         )
         # -- evaluate on the crash-isolated pool ----------------------
-        with obs.phase("store.read"):
-            exe_doc_stored = self.store.execution_doc(fp)
-            seed_witnesses = self.store.points_for(fp)
         request = {
             "fingerprint": fp,
-            "execution": exe_doc_stored,
+            "execution": stored.text,  # shipped as stored, never re-serialized
             "relation": relation,
             "a": a,
             "b": b,
             "drop_racing": bool(doc.get("drop_racing", True)),
             "max_states": max_states,
             "timeout": timeout,
-            "witnesses": seed_witnesses,
+            "witnesses": stored.witnesses,
         }
         with obs.phase("dispatch"):
             tid = self.pool.submit(request)
@@ -842,7 +838,7 @@ class QueryDaemon:
                 self._requests["unknown"] += 1
         body = {
             "fingerprint": fp,
-            "memory_model": exe.memory_model,
+            "memory_model": stored.memory_model,
             "relation": relation,
             "a": a,
             "b": b,

@@ -11,9 +11,9 @@ layout is one directory per stored execution::
 Robustness rules, in order of importance:
 
 * **Never trust the disk.**  Every loaded schedule replays through the
-  reference semantics before it is served (the in-memory cache is the
-  single soundness gate); a schedule that does not replay is dropped
-  and the file marked for rewrite.
+  reference semantics before it is served, and so does every schedule
+  a query ships back for persisting; a schedule that does not replay
+  is dropped and the file marked for rewrite.
 * **Never serve a corrupt entry, never delete evidence.**  A directory
   whose ``execution.json`` is unreadable -- or whose content hashes to
   a different fingerprint than its name -- is *quarantined* (renamed
@@ -47,9 +47,17 @@ Failpoints (see :mod:`repro.faults`): ``store.put``, ``store.flush``,
 and ``store.compact.swapped-in`` let a chaos schedule fail or kill any
 of those steps deterministically.
 
-Capacity: each entry's cache holds the most recent ``capacity``
-schedules (FIFO, like the scan cache); the store persists what is
-resident at flush time.
+Capacity: each entry holds the most recent ``capacity`` schedules
+(FIFO, like the scan cache); the store persists what is resident at
+flush time.
+
+Resident form: an entry keeps only what the daemon serves from -- the
+canonical execution text (the compact JSON its fingerprint hashes;
+``execution.json`` is the same document indented), the memory model,
+the event count and the validated schedules as flat tuples.  No
+:class:`~repro.model.execution.ProgramExecution` stays resident: one
+is parsed from the text for a moment when schedules that are new to
+the entry must be validated by replay, then dropped.
 """
 
 from __future__ import annotations
@@ -61,13 +69,13 @@ import os
 import re
 import shutil
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro import faults
 from repro.core.engine import Point
+from repro.core.witness import replay_schedule
 from repro.model import serialize
 from repro.model.execution import ProgramExecution
-from repro.solve.witnesses import WitnessCache
 from repro.util.fileio import atomic_write_text, fsync_dir
 
 log = logging.getLogger("repro.serve")
@@ -137,40 +145,95 @@ def recover_compaction(root: str) -> Optional[str]:
     return None
 
 
-class _StoreEntry:
-    """One stored execution: its model plus the validating cache."""
+class StoredExecution(NamedTuple):
+    """What a query needs from one stored execution, read in one go."""
 
-    def __init__(self, exe: ProgramExecution, *, capacity: int) -> None:
-        self.exe = exe
-        self.cache = WitnessCache(exe, capacity=capacity)
+    text: str  # the canonical JSON document (what the fingerprint hashes)
+    memory_model: str
+    events: int  # event ids are ``0 .. events - 1``
+    witnesses: List[List[List[int]]]  # JSON-ready stored schedules
+
+
+def _points(schedule: Tuple[int, ...]) -> List[List[int]]:
+    """A compact schedule as JSON-ready ``[[eid, is_end], ...]``."""
+    return [[code >> 1, code & 1] for code in schedule]
+
+
+class _StoreEntry:
+    """One stored execution in its compact resident form (see the
+    module docstring).  A schedule is a tuple with one int per point,
+    ``2 * eid + is_end``."""
+
+    __slots__ = (
+        "text", "memory_model", "events", "schedules", "dirty",
+        "last_used", "bytes_on_disk",
+    )
+
+    def __init__(self, exe: ProgramExecution) -> None:
+        self.text = serialize.canonical_json(exe)
+        self.memory_model = exe.memory_model
+        self.events = len(exe.events)
+        self.schedules: List[Tuple[int, ...]] = []
         self.dirty = False
         self.last_used = 0  # LRU clock value, maintained by the store
         self.bytes_on_disk = 0  # last known execution + witness bytes
 
-    def add_observed(self) -> None:
+    def add(
+        self, exe: Optional[ProgramExecution], schedules: Iterable[Any],
+        capacity: int,
+    ) -> Tuple[int, int]:
+        """Keep every schedule that replays through the reference
+        semantics and is not resident yet, evicting the oldest past
+        ``capacity``; returns ``(added, rejected)``.  ``exe`` is this
+        entry's execution, parsed from :attr:`text` when ``None`` and
+        only if some schedule is new."""
+        added = rejected = 0
+        for sched in schedules:
+            try:
+                key = tuple(2 * int(eid) + bool(end) for eid, end in sched)
+            except (TypeError, ValueError):
+                rejected += 1  # malformed points document
+                continue
+            if key in self.schedules:
+                continue  # resident already: validated when it arrived
+            if exe is None:
+                exe = serialize.loads(self.text)
+            try:
+                if not all(0 <= code >> 1 < self.events for code in key):
+                    raise IndexError("event id out of range")
+                replay_schedule(
+                    exe,
+                    [Point(code >> 1, bool(code & 1)) for code in key],
+                    include_dependences=False,
+                )
+            except (ValueError, KeyError, IndexError):
+                rejected += 1  # IllegalScheduleError is a ValueError
+                continue
+            self.schedules.append(key)
+            if len(self.schedules) > capacity:
+                del self.schedules[0]
+            added += 1
+        return added, rejected
+
+    def add_observed(self, exe: ProgramExecution, capacity: int) -> None:
         """Re-derive the base witness from the source trace itself (the
         observed schedule is a member of ``F`` whenever it replays)."""
-        sched = self.exe.observed_schedule
-        if sched is None:
-            return
-        points = []
-        for eid in sched:
-            points.append(Point(eid, False))
-            points.append(Point(eid, True))
-        self.cache.add(points)
-
-    def schedules(self) -> List[List[List[int]]]:
-        return self.cache.points_since(0)  # every resident entry
+        sched = exe.observed_schedule
+        if sched is not None:
+            points = [(eid, end) for eid in sched for end in (0, 1)]
+            self.add(exe, [points], capacity)
 
     def execution_text(self) -> str:
-        return serialize.dumps(self.exe) + "\n"
+        """``execution.json``: the canonical document, indented."""
+        doc = json.loads(self.text)
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def witnesses_text(self, fp: str) -> str:
         doc = {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
             "fingerprint": fp,
-            "witnesses": [{"points": sched} for sched in self.schedules()],
+            "witnesses": [{"points": _points(s)} for s in self.schedules],
         }
         return json.dumps(doc, sort_keys=True) + "\n"
 
@@ -252,7 +315,7 @@ class WitnessStore:
                 fp, where,
             )
             return
-        entry = _StoreEntry(exe, capacity=self.capacity)
+        entry = _StoreEntry(exe)
         wit_path = os.path.join(path, "witnesses.json")
         schedules: List[Any] = []
         if os.path.exists(wit_path):
@@ -284,16 +347,14 @@ class WitnessStore:
                 "witness store: no witness file for %s; rebuilding from "
                 "source trace", fp,
             )
-        rejected_before = entry.cache.rejected
-        entry.cache.seed(schedules)
-        if entry.cache.rejected > rejected_before:
-            bad = entry.cache.rejected - rejected_before
+        _, bad = entry.add(exe, schedules, self.capacity)
+        if bad:
             entry.dirty = True  # rewrite without the invalid schedules
             log.warning(
                 "witness store: %d invalid schedule(s) for %s dropped on "
                 "load (failed replay validation)", bad, fp,
             )
-        entry.add_observed()
+        entry.add_observed(exe, self.capacity)
         entry.bytes_on_disk = self._entry_disk_bytes(path)
         self._touch(entry)
         self._entries[fp] = entry
@@ -375,8 +436,8 @@ class WitnessStore:
             if entry is not None:
                 self._touch(entry)
                 return fp
-            entry = _StoreEntry(exe, capacity=self.capacity)
-            entry.add_observed()
+            entry = _StoreEntry(exe)
+            entry.add_observed(exe, self.capacity)
             entry.dirty = True
             path = os.path.join(self.root, fp)
             try:
@@ -401,15 +462,18 @@ class WitnessStore:
         with self._lock:
             return fp in self._entries
 
-    def execution(self, fp: str) -> ProgramExecution:
+    def lookup(self, fp: str) -> Optional[StoredExecution]:
+        """Everything a query needs from one stored execution, under one
+        lock acquisition (``None`` when it is not stored)."""
         with self._lock:
-            entry = self._entries[fp]
+            entry = self._entries.get(fp)
+            if entry is None:
+                return None
             self._touch(entry)
-            return entry.exe
-
-    def execution_doc(self, fp: str) -> Dict[str, Any]:
-        with self._lock:
-            return serialize.execution_to_dict(self._entries[fp].exe)
+            return StoredExecution(
+                entry.text, entry.memory_model, entry.events,
+                [_points(s) for s in entry.schedules],
+            )
 
     def fingerprints(self) -> List[str]:
         with self._lock:
@@ -423,11 +487,12 @@ class WitnessStore:
             if entry is None:
                 return []
             self._touch(entry)
-            return entry.schedules()
+            return [_points(s) for s in entry.schedules]
 
     def add_points(self, fp: str, schedules) -> int:
-        """Fold newly discovered schedules in (each re-validated by the
-        entry's cache); returns how many were genuinely new."""
+        """Fold newly discovered schedules in (each one not resident yet
+        is re-validated by replay); returns how many were genuinely
+        new."""
         if not schedules:
             return 0
         with self._lock:
@@ -435,9 +500,7 @@ class WitnessStore:
             if entry is None:
                 return 0
             self._touch(entry)
-            before = len(entry.cache)
-            entry.cache.seed(schedules)
-            added = len(entry.cache) - before
+            added, _ = entry.add(None, schedules, self.capacity)
             if added:
                 entry.dirty = True
             return added
@@ -576,7 +639,7 @@ class WitnessStore:
             return {
                 "executions": len(self._entries),
                 "witnesses": sum(
-                    len(e.cache) for e in self._entries.values()
+                    len(e.schedules) for e in self._entries.values()
                 ),
                 "dirty": sum(1 for e in self._entries.values() if e.dirty),
                 "bytes": self._bytes_resident(),
@@ -591,6 +654,7 @@ class WitnessStore:
 
 
 __all__ = [
+    "StoredExecution",
     "WitnessStore",
     "recover_compaction",
     "STORE_FORMAT",

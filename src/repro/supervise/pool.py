@@ -18,14 +18,23 @@ inherited locks, deterministic across platforms), ignore ``SIGINT``
 touching the execution, and receive the execution as its JSON document
 -- the same bytes a checkpoint fingerprint covers.
 
-A ``KeyboardInterrupt`` in the parent drains already-completed results
-for a grace period, terminates the workers, and returns the classified
-prefix with ``interrupted=True``; the caller (the detector / CLI) turns
-that into a partial report and exit status 130.  A *second* interrupt
-during that drain means "now": the drain stops, workers are terminated,
-and the interrupt propagates -- no more results are folded in and no
-further checkpoint records are written, so the journal tail stays
-whole (appends themselves are SIGINT-deferred, see
+Supervision is event-driven: each worker reports over its own result
+pipe (a dying worker can hold no lock another worker needs), and the
+supervisor sleeps in :func:`multiprocessing.connection.wait` on those
+pipes, the worker sentinels and -- for the query pool -- a wake pipe,
+with the next real deadline (a wall kill, a retry's backoff, a drain)
+as its timeout.  A dead worker's pipe is read to EOF before its task is
+failed, so a report sent just before exiting is never mistaken for an
+abandoned task.
+
+A ``KeyboardInterrupt`` in the parent waits a grace period for the
+answers of in-flight pairs, terminates the workers, and returns the
+classified prefix with ``interrupted=True``; the caller (the detector /
+CLI) turns that into a partial report and exit status 130.  A *second*
+interrupt during that drain means "now": the drain stops, workers are
+terminated, and the interrupt propagates -- no more results are folded
+in and no further checkpoint records are written, so the journal tail
+stays whole (appends themselves are SIGINT-deferred, see
 :mod:`repro.supervise.checkpoint`).
 """
 
@@ -33,14 +42,16 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import multiprocessing as mp
-import queue as queue_mod
+import os
 import signal
 import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_any
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults as faults_mod
@@ -78,7 +89,8 @@ CRASH = "crash"
 # Independent of the per-pair spec, every task dispatch also hits the
 # process-wide ``pool.task`` failpoint, so a ``REPRO_FAILPOINTS``
 # schedule (inherited through the spawn environment) can crash or stall
-# workers without naming pairs.
+# workers without naming pairs; ``pool.worker.start`` fires once per
+# worker just before it reports ready (a worker that never boots).
 # ----------------------------------------------------------------------
 
 
@@ -127,9 +139,10 @@ class _PairFaults:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _worker_main(worker_id: int, task_q, result_q, exe_doc, conf) -> None:
-    """Worker loop: one pair per message, results by value, no shared
-    state.  Runs in a spawned interpreter; must stay importable."""
+def _worker_main(task_q, conn, exe_doc, conf) -> None:
+    """Worker loop: one pair per message, results by value over the
+    worker's private ``conn``, no shared state.  Runs in a spawned
+    interpreter; must stay importable."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns shutdown
     limits = conf.get("rlimits")
     apply_limits(ResourceLimits(**limits) if limits is not None else None)
@@ -142,7 +155,7 @@ def _worker_main(worker_id: int, task_q, result_q, exe_doc, conf) -> None:
     planner = QueryPlanner(SolveContext(exe, por=conf.get("por", "sleep")))
     # when the parent traces, record spans into a bounded buffer and
     # ship them with each result; bounded because the whole batch rides
-    # one queue message (drops are accounted, never blocked on)
+    # one pipe message (drops are accounted, never blocked on)
     sink: Optional[RecordingSink] = None
     if conf.get("trace"):
         sink = RecordingSink(capacity=int(conf.get("trace_capacity", 4096)))
@@ -154,10 +167,8 @@ def _worker_main(worker_id: int, task_q, result_q, exe_doc, conf) -> None:
     if conf.get("profile"):
         profile = SearchProfile()
         planner.attach_profiler(profile)
-    # start the result queue's feeder thread NOW: its stack mmap counts
-    # against RLIMIT_AS, so it must exist before any memory pressure or
-    # an OOM could not even be reported
-    result_q.put((worker_id, None, "ready", None))
+    faults_mod.fire("pool.worker.start")
+    conn.send((None, "ready", None))
     while True:
         msg = task_q.get()
         if msg is None:
@@ -189,19 +200,18 @@ def _worker_main(worker_id: int, task_q, result_q, exe_doc, conf) -> None:
                 # worker loses both together, so the trace aggregation
                 # always matches the merged report
                 payload["spans"] = sink.drain()
-            result_q.put((worker_id, task_id, "ok", payload))
+            conn.send((task_id, "ok", payload))
         except MemoryError:
             # the cap fired.  Drop whatever the search pinned (the
             # handler deliberately does not bind the exception, whose
             # traceback would keep those frames alive), report, then
             # retire: this heap was driven to the limit and is not
-            # worth trusting.  Returning (not _exit) lets the queue
-            # feeder flush the report.
+            # worth trusting.
             gc.collect()
-            result_q.put((worker_id, task_id, "memory", None))
+            conn.send((task_id, "memory", None))
             return
         except Exception as exc:  # unexpected bug: isolate, don't die
-            result_q.put((worker_id, task_id, "error", repr(exc)))
+            conn.send((task_id, "error", repr(exc)))
 
 
 def _death_resource(exitcode: Optional[int]) -> str:
@@ -229,12 +239,81 @@ class _Worker:
     uid: int  # unique across the scan -- slots are reused, uids are not
     proc: Any
     task_q: Any
+    conn: Any  # the parent's end of this worker's private result pipe
     busy_task: Optional[int] = None
     ready: bool = False  # sent its warm-up message (interpreter booted)
     kill_at: Optional[float] = None
     kill_after: Optional[float] = None  # wall budget armed once ready
-    died_at: Optional[float] = None
     retiring: bool = False  # announced its own exit; never dispatch again
+    eof: bool = False  # result pipe read to its end: nothing more will come
+
+    def arm(self, now: float, wall: Optional[float],
+            backstop: Optional[float] = None) -> None:
+        """Start the hang clock for a just-dispatched task.  A cold
+        worker's clock starts on its ready message (spawn and import
+        time is machine load, not task difficulty); until then only
+        ``backstop`` (an absolute time, if any) can kill it."""
+        if self.ready:
+            self.kill_at = (now + wall) if wall is not None else None
+            self.kill_after = None
+        else:
+            self.kill_at, self.kill_after = backstop, wall
+
+    def mark_ready(self) -> None:
+        self.ready = True
+        if self.kill_after is not None:
+            self.kill_at = time.monotonic() + self.kill_after
+            self.kill_after = None
+
+    def settle(self, tid: Optional[int]) -> None:
+        """A report for ``tid`` arrived: disarm if it was our task."""
+        if tid == self.busy_task:
+            self.busy_task = self.kill_at = self.kill_after = None
+
+    def drain(self, handle: Callable[["_Worker", Any], None]) -> None:
+        """Fold in every message already in the pipe; at EOF (the
+        worker exited) mark the pipe spent.  Never blocks on an idle
+        pipe."""
+        try:
+            while not self.eof and self.conn.poll():
+                handle(self, self.conn.recv())
+        except (EOFError, OSError):  # EOF, or a message torn by death
+            self.eof = True
+
+    def dispose(self) -> None:
+        """Reap the (dead) process and release its pipes."""
+        self.proc.join()
+        self.conn.close()
+        self.task_q.cancel_join_thread()
+        self.task_q.close()
+
+
+def _start_worker(ctx, uid: int, target, *args) -> _Worker:
+    task_q = ctx.Queue()
+    conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(
+        target=target, args=(task_q, child_conn) + args, daemon=True
+    )
+    proc.start()
+    # drop our copy of the write end: EOF on ``conn`` now means exactly
+    # that the worker is gone
+    child_conn.close()
+    return _Worker(uid, proc, task_q, conn)
+
+
+def _sleep_until_event(workers, deadlines, *extra) -> None:
+    """Block until a worker reports or dies, an ``extra`` fd is
+    readable, or the earliest of ``deadlines`` (``None`` entries are
+    ignored) passes."""
+    objs = list(extra)
+    for w in workers:
+        if w is not None:
+            objs.append(w.proc.sentinel)
+            if not w.eof:
+                objs.append(w.conn)
+    due = [d for d in deadlines if d is not None]
+    timeout = max(0.0, min(due) - time.monotonic()) if due else None
+    wait_any(objs, timeout)
 
 
 class SupervisedScanner:
@@ -258,6 +337,9 @@ class SupervisedScanner:
         else off (an unbudgeted scan may legitimately run for days).
     faults:
         Test-only fault-injection spec (see module comment).
+    drain_grace:
+        Seconds an interrupted scan waits for the answers of pairs
+        already in flight.
     tracer:
         A :class:`~repro.obs.trace.TraceSink`; when enabled, workers
         record their query spans into a bounded in-memory sink and ship
@@ -285,7 +367,6 @@ class SupervisedScanner:
         retry: Optional[RetryPolicy] = None,
         pair_wall_timeout: Optional[float] = None,
         faults: Optional[Dict[str, Dict[str, Any]]] = None,
-        poll_interval: float = 0.02,
         drain_grace: float = 1.0,
         tracer=NULL_SINK,
         board=None,
@@ -297,7 +378,6 @@ class SupervisedScanner:
         self.retry = retry if retry is not None else RetryPolicy()
         self.pair_wall_timeout = pair_wall_timeout
         self.faults = dict(faults or {})
-        self.poll_interval = poll_interval
         self.drain_grace = drain_grace
         self.tracer = tracer if tracer is not None else NULL_SINK
         self.board = board
@@ -335,20 +415,12 @@ class SupervisedScanner:
         exe_doc = serialize.execution_to_dict(exe)
         conf = {
             "drop_racing_dependences": options.drop_racing_dependences,
-            "rlimits": (
-                {
-                    "max_memory_mb": self.limits.max_memory_mb,
-                    "max_cpu_seconds": self.limits.max_cpu_seconds,
-                }
-                if self.limits is not None
-                else None
-            ),
+            "rlimits": _rlimits_conf(self.limits),
             "faults": self.faults,
             "trace": traced,
             "profile": options.profile,
             "por": options.por,
         }
-        result_q = ctx.Queue()
         state: Dict[int, _TaskState] = {
             tid: _TaskState(a, b, variables)
             for tid, (a, b, variables) in enumerate(tasks)
@@ -356,13 +428,15 @@ class SupervisedScanner:
         pending = deque(range(len(tasks)))
         done: Dict[int, PairClassification] = {}
         workers: List[Optional[_Worker]] = [None] * self.jobs
-        by_uid: Dict[int, _Worker] = {}
-        next_uid = [0]
+        next_uid = itertools.count()
         interrupted = False
         hard_interrupt = False
         slots_used: set = set()
         tier_report = PlannerReport()  # aggregated from worker payloads
         scan_profile = SearchProfile() if options.profile else None
+        wall = self.pair_wall_timeout
+        if wall is None and options.pair_timeout is not None:
+            wall = 2.0 * options.pair_timeout + 5.0
 
         def finalize(tid: int, c: PairClassification) -> None:
             done[tid] = c
@@ -394,92 +468,72 @@ class SupervisedScanner:
                     ),
                 )
 
-        def handle_result(msg) -> None:
-            uid, tid, kind, payload = msg
+        def handle_result(w: _Worker, msg) -> None:
+            tid, kind, payload = msg
             if kind == "ready":
-                # the worker's interpreter is booted; only now does any
-                # pending wall-clock budget start ticking (spawn +
-                # import time is machine load, not pair difficulty)
-                w = by_uid.get(uid)
-                if w is not None:
-                    w.ready = True
-                    if w.kill_after is not None:
-                        w.kill_at = time.monotonic() + w.kill_after
-                        w.kill_after = None
-                emit({"kind": "worker.ready", "worker": uid})
+                w.mark_ready()
+                emit({"kind": "worker.ready", "worker": w.uid})
                 return
-            w = by_uid.get(uid)  # None once we've given up on that worker
-            if w is not None and w.busy_task == tid:
-                w.busy_task = None
-                w.kill_at = None
-                w.kill_after = None
-                w.died_at = None
-            if w is not None and kind == "memory":
+            w.settle(tid)
+            if kind == "memory":
                 # a memory report doubles as the worker's retirement
                 # notice -- it exits right after sending it
                 w.retiring = True
-                emit({"kind": "worker.crash", "worker": uid, "resource": MEMORY})
-            if tid in done or tid not in state:
+                emit({"kind": "worker.crash", "worker": w.uid,
+                      "resource": MEMORY})
+            if tid in done:
                 return
-            if kind == "ok":
-                if tid in pending:
-                    # late answer from an incarnation we had given up on:
-                    # still a valid answer, so cancel the redo
-                    pending.remove(tid)
-                if isinstance(payload, dict) and "classification" in payload:
-                    planner_snap = payload.get("planner") or {}
-                    tier_report.merge(planner_snap)
-                    profile_snap = payload.get("profile")
-                    if scan_profile is not None and profile_snap:
-                        scan_profile.merge(profile_snap)
-                    if board is not None:
-                        board.merge_planner(planner_snap)
-                        if profile_snap:
-                            board.merge_profile(profile_snap)
-                    if traced:
-                        # fold the worker's spans into the scan trace,
-                        # tagged with the uid that produced them
-                        for span in payload.get("spans") or ():
-                            span.setdefault("worker", uid)
-                            tracer.emit(span)
-                    payload = payload["classification"]
-                st = state[tid]
-                emit(
-                    {"kind": "worker.result", "worker": uid,
-                     "a": st.a, "b": st.b}
-                )
-                finalize(tid, serialize.classification_from_dict(exe, payload))
-            else:  # "memory" or "error"
-                if tid in pending:
-                    return  # this failure was already counted at death time
+            if kind != "ok":  # "memory" or "error"
                 fail(tid, MEMORY if kind == "memory" else CRASH)
+                return
+            planner_snap = payload.get("planner") or {}
+            tier_report.merge(planner_snap)
+            profile_snap = payload.get("profile")
+            if scan_profile is not None and profile_snap:
+                scan_profile.merge(profile_snap)
+            if board is not None:
+                board.merge_planner(planner_snap)
+                if profile_snap:
+                    board.merge_profile(profile_snap)
+            if traced:
+                # fold the worker's spans into the scan trace, tagged
+                # with the uid that produced them
+                for span in payload.get("spans") or ():
+                    span.setdefault("worker", w.uid)
+                    tracer.emit(span)
+            st = state[tid]
+            emit({"kind": "worker.result", "worker": w.uid,
+                  "a": st.a, "b": st.b})
+            finalize(tid, serialize.classification_from_dict(
+                exe, payload["classification"]
+            ))
 
         def spawn(slot: int) -> _Worker:
-            uid = next_uid[0]
-            next_uid[0] += 1
-            task_q = ctx.Queue()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(uid, task_q, result_q, exe_doc, conf),
-                daemon=True,
-            )
-            proc.start()
-            w = _Worker(uid, proc, task_q)
-            by_uid[uid] = w
+            w = _start_worker(ctx, next(next_uid), _worker_main, exe_doc, conf)
             if slot in slots_used:
                 # this slot hosted a worker before: the spawn replaces
                 # one that died or retired mid-scan
                 self.worker_restarts += 1
             slots_used.add(slot)
-            emit({"kind": "worker.spawn", "worker": uid})
+            emit({"kind": "worker.spawn", "worker": w.uid})
             return w
 
-        def retire(slot: int) -> None:
+        def reap(slot: int, resource: str) -> None:
+            """Retire the dead worker in ``slot``; its task (if the
+            pipe, read to EOF, did not settle it) fails with
+            ``resource``."""
             w = workers[slot]
             w.proc.join()
-            by_uid.pop(w.uid, None)
+            w.drain(handle_result)
+            tid = w.busy_task
+            if tid is not None:
+                emit({"kind": "worker.crash", "worker": w.uid,
+                      "resource": resource})
+            w.dispose()
             workers[slot] = None
             emit({"kind": "worker.retire", "worker": w.uid})
+            if tid is not None:
+                fail(tid, resource)
 
         def dispatchable(now: float) -> Optional[int]:
             for _ in range(len(pending)):
@@ -500,124 +554,89 @@ class SupervisedScanner:
                         finalize(
                             tid,
                             PairClassification(
-                                st.a,
-                                st.b,
-                                UNKNOWN,
-                                st.variables,
+                                st.a, st.b, UNKNOWN, st.variables,
                                 resource=DEADLINE,
                             ),
                         )
-                # reap idle deaths (e.g. a worker that retired after an
-                # OOM report) and assign work to idle workers
+                # assign work to idle workers, spawning where needed
+                idle = False
                 for slot in range(self.jobs):
                     w = workers[slot]
-                    if w is not None and w.busy_task is None and (
-                        w.retiring or not w.proc.is_alive()
-                    ):
-                        if w.proc.is_alive():
-                            continue  # retiring, not yet gone: stand by
-                        retire(slot)
-                        w = None
-                    if w is None:
-                        if len(pending) == 0:
-                            continue
+                    if w is None and pending:
                         workers[slot] = w = spawn(slot)
-                    if w.busy_task is None and pending:
-                        tid = dispatchable(now)
-                        if tid is None:
-                            continue
-                        st = state[tid]
-                        max_states = self.retry.escalated_states(
-                            options.max_states, st.attempt
-                        )
-                        timeout = options.pair_timeout
-                        if options.deadline is not None:
-                            remaining = max(0.001, options.deadline - now)
-                            timeout = (
-                                remaining
-                                if timeout is None
-                                else min(timeout, remaining)
-                            )
-                        w.task_q.put(
-                            (tid, st.a, st.b, st.attempt, max_states, timeout)
-                        )
-                        w.busy_task = tid
-                        emit(
-                            {"kind": "worker.dispatch", "worker": w.uid,
-                             "a": st.a, "b": st.b}
-                        )
-                        wall = self.pair_wall_timeout
-                        if wall is None and options.pair_timeout is not None:
-                            wall = 2.0 * options.pair_timeout + 5.0
-                        if w.ready:
-                            w.kill_at = (now + wall) if wall is not None else None
-                            w.kill_after = None
-                        else:  # cold worker: arm the clock on its ready message
-                            w.kill_at = None
-                            w.kill_after = wall
-                # collect results (the blocking get is also our sleep);
-                # drain everything already queued so a burst of answers
-                # -- e.g. an OOM worker's final "memory" report landing
-                # behind several "ok"s -- is folded in before the
-                # drain_grace clock below can misread the clean exit as
-                # an abandoned task
-                try:
-                    handle_result(result_q.get(timeout=self.poll_interval))
-                    while True:
-                        handle_result(result_q.get_nowait())
-                except queue_mod.Empty:
-                    pass
-                # crash + hang supervision of busy workers
-                now = time.monotonic()
-                for slot in range(self.jobs):
-                    w = workers[slot]
-                    if w is None or w.busy_task is None:
+                    if w is None or w.busy_task is not None or w.retiring:
                         continue
+                    tid = dispatchable(now) if pending else None
+                    if tid is None:
+                        idle = True
+                        continue
+                    st = state[tid]
+                    max_states = self.retry.escalated_states(
+                        options.max_states, st.attempt
+                    )
+                    timeout = options.pair_timeout
+                    if options.deadline is not None:
+                        remaining = max(0.001, options.deadline - now)
+                        timeout = (
+                            remaining if timeout is None
+                            else min(timeout, remaining)
+                        )
+                    w.task_q.put(
+                        (tid, st.a, st.b, st.attempt, max_states, timeout)
+                    )
+                    w.busy_task = tid
+                    emit({"kind": "worker.dispatch", "worker": w.uid,
+                          "a": st.a, "b": st.b})
+                    w.arm(now, wall)
+                if len(done) == len(state):
+                    break  # the scan deadline just finalized the rest
+                # sleep until a worker reports or dies, or the next
+                # deadline: a wall kill, a retry's backoff, the scan's
+                deadlines = [w.kill_at for w in workers if w is not None]
+                if pending:
+                    deadlines.append(options.deadline)
+                    if idle:
+                        deadlines += [state[t].not_before for t in pending]
+                _sleep_until_event(workers, deadlines)
+                # fold in results; reap the dead and the overdue
+                now = time.monotonic()
+                for slot, w in enumerate(workers):
+                    if w is None:
+                        continue
+                    w.drain(handle_result)
                     if not w.proc.is_alive():
-                        exitcode = w.proc.exitcode
-                        if w.died_at is None:
-                            w.died_at = now
-                        if exitcode == 0 and now - w.died_at < self.drain_grace:
-                            # a clean exit never abandons a task: its
-                            # final ("memory") report is still in flight
-                            continue
-                        tid = w.busy_task
-                        resource = _death_resource(exitcode)
-                        emit(
-                            {"kind": "worker.crash", "worker": w.uid,
-                             "resource": resource}
-                        )
-                        retire(slot)
-                        fail(tid, resource)
+                        reap(slot, _death_resource(w.proc.exitcode))
                     elif w.kill_at is not None and now >= w.kill_at:
-                        tid = w.busy_task
                         w.proc.kill()
-                        emit(
-                            {"kind": "worker.crash", "worker": w.uid,
-                             "resource": DEADLINE}
-                        )
-                        retire(slot)
-                        fail(tid, DEADLINE)
+                        reap(slot, DEADLINE)
         except KeyboardInterrupt:
             interrupted = True
             if board is not None:
                 # flips /readyz to 503 while the prefix is folded in
                 board.set_state("draining")
-            # drain results that already completed, briefly; a SECOND
-            # interrupt during the drain means "now" -- stop draining,
-            # let the finally terminate the workers, then re-raise so
-            # the process exits 130 without writing another record
+            # fold in the answers of pairs already in flight, briefly; a
+            # SECOND interrupt during the drain means "now" -- stop
+            # draining, let the finally terminate the workers, then
+            # re-raise so the process exits 130 without writing another
+            # record
             try:
                 stop_at = time.monotonic() + self.drain_grace
                 while time.monotonic() < stop_at:
-                    try:
-                        handle_result(result_q.get(timeout=self.poll_interval))
-                    except queue_mod.Empty:
+                    busy = [
+                        w for w in workers
+                        if w is not None and w.busy_task is not None
+                        and not w.eof
+                    ]
+                    if not busy:
                         break
+                    wait_any([w.conn for w in busy],
+                             max(0.0, stop_at - time.monotonic()))
+                    for w in busy:
+                        w.drain(handle_result)
             except KeyboardInterrupt:
                 hard_interrupt = True
         finally:
-            self._shutdown(workers, result_q)
+            _shutdown(workers)
         if hard_interrupt:
             raise KeyboardInterrupt
         results = [done[tid] for tid in sorted(done)]
@@ -628,32 +647,33 @@ class SupervisedScanner:
             snap["profile"] = scan_profile.snapshot()
         return results, interrupted, snap
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _shutdown(workers: List[Optional[_Worker]], result_q) -> None:
-        for w in workers:
-            if w is None:
-                continue
-            try:
-                w.task_q.put_nowait(None)
-            except Exception:  # full/closed: terminate below anyway
-                pass
-        deadline = time.monotonic() + 1.0
-        for w in workers:
-            if w is None:
-                continue
-            w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if w.proc.is_alive():
-                w.proc.terminate()
-                w.proc.join(timeout=0.5)
-            if w.proc.is_alive():  # pragma: no cover - stubborn child
-                w.proc.kill()
-                w.proc.join(timeout=0.5)
-            # never let an unflushed feeder thread block interpreter exit
-            w.task_q.cancel_join_thread()
-            w.task_q.close()
-        result_q.cancel_join_thread()
-        result_q.close()
+
+def _rlimits_conf(limits: Optional[ResourceLimits]) -> Optional[dict]:
+    if limits is None:
+        return None
+    return {
+        "max_memory_mb": limits.max_memory_mb,
+        "max_cpu_seconds": limits.max_cpu_seconds,
+    }
+
+
+def _shutdown(workers: Sequence[Optional[_Worker]]) -> None:
+    live = [w for w in workers if w is not None]
+    for w in live:
+        try:
+            w.task_q.put_nowait(None)
+        except Exception:  # full/closed: terminate below anyway
+            pass
+    deadline = time.monotonic() + 1.0
+    for w in live:
+        w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        if w.proc.is_alive():
+            w.proc.terminate()
+            w.proc.join(timeout=0.5)
+        if w.proc.is_alive():  # pragma: no cover - stubborn child
+            w.proc.kill()
+        # never let an unflushed feeder thread block interpreter exit
+        w.dispose()
 
 
 # ----------------------------------------------------------------------
@@ -694,18 +714,19 @@ def _verdict_payload(verdict) -> Dict[str, Any]:
     return doc
 
 
-def _query_worker_main(worker_id: int, task_q, result_q, conf) -> None:
+def _query_worker_main(task_q, conn, conf) -> None:
     """Daemon-side worker loop: one *query* per message, executions by
     fingerprint.  Runs in a spawned interpreter; must stay importable.
 
     Unlike :func:`_worker_main` (one execution for a whole scan), a
     query worker serves many executions over its lifetime: it keeps a
-    small FIFO of warm :class:`~repro.solve.planner.QueryPlanner`
-    contexts keyed by fingerprint, so consecutive queries against the
-    same stored execution reuse the structural bitsets and every
-    witness already found.  Each request ships the execution document
-    anyway -- a worker fresh from a crash replacement must be able to
-    answer without any shared state.
+    small LRU of warm :class:`~repro.solve.planner.QueryPlanner`
+    contexts keyed by fingerprint, so queries against a hot stored
+    execution reuse the structural bitsets and every witness already
+    found, however many never-seen executions pass in between.  Each
+    request ships the execution document anyway (a dict, or its JSON
+    text as the witness store keeps it) -- a worker fresh from a crash
+    replacement must be able to answer without any shared state.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns shutdown
     signal.signal(signal.SIGTERM, signal.SIG_IGN)  # ... and drain
@@ -714,16 +735,15 @@ def _query_worker_main(worker_id: int, task_q, result_q, conf) -> None:
     pair_faults = _PairFaults(conf.get("faults"))
     plan = conf.get("plan")
     capacity = max(1, int(conf.get("context_capacity", 8)))
-    planners: Dict[str, QueryPlanner] = {}  # fp -> planner, FIFO-bounded
+    planners: Dict[str, QueryPlanner] = {}  # fp -> planner, LRU order
     # when the daemon traces, record query spans into a bounded buffer
     # and ship them with each result (the scan pool's idiom): the
     # parent tags them with the request id only it knows
     sink: Optional[RecordingSink] = None
     if conf.get("trace"):
         sink = RecordingSink(capacity=int(conf.get("trace_capacity", 4096)))
-    # feeder thread first: its stack counts against RLIMIT_AS (see
-    # _worker_main)
-    result_q.put((worker_id, None, "ready", None))
+    faults_mod.fire("pool.worker.start")
+    conn.send((None, "ready", None))
     while True:
         msg = task_q.get()
         if msg is None:
@@ -738,18 +758,20 @@ def _query_worker_main(worker_id: int, task_q, result_q, conf) -> None:
             if a is not None and b is not None:
                 pair_faults.hit(int(a), int(b), attempt)
             fp = req["fingerprint"]
-            planner = planners.get(fp)
+            planner = planners.pop(fp, None)
             if planner is None:
-                exe = serialize.execution_from_dict(req["execution"])
-                ctx = SolveContext(exe)
+                exe_doc = req["execution"]
+                if isinstance(exe_doc, str):
+                    exe_doc = json.loads(exe_doc)
+                ctx = SolveContext(serialize.execution_from_dict(exe_doc))
                 planner = (
                     QueryPlanner(ctx, tuple(plan)) if plan else QueryPlanner(ctx)
                 )
                 if sink is not None:
                     planner.attach_tracer(sink)
-                planners[fp] = planner
-                while len(planners) > capacity:
-                    planners.pop(next(iter(planners)))
+            planners[fp] = planner  # (re)insert as most recently used
+            while len(planners) > capacity:
+                planners.pop(next(iter(planners)))
             # seed the persistent store's schedules (each re-validated
             # by the cache) and remember the watermark: only witnesses
             # *this* query discovers ship home for persisting
@@ -798,16 +820,16 @@ def _query_worker_main(worker_id: int, task_q, result_q, conf) -> None:
                     }
                 )
                 payload["spans"] = spans
-            result_q.put((worker_id, task_id, "ok", payload))
+            conn.send((task_id, "ok", payload))
         except MemoryError:
             # see _worker_main: report without binding the exception,
             # then retire this driven-to-the-limit heap
             planners.clear()
             gc.collect()
-            result_q.put((worker_id, task_id, "memory", None))
+            conn.send((task_id, "memory", None))
             return
         except Exception as exc:  # unexpected bug: isolate, don't die
-            result_q.put((worker_id, task_id, "error", repr(exc)))
+            conn.send((task_id, "error", repr(exc)))
 
 
 @dataclass
@@ -834,20 +856,26 @@ class QueryWorkerPool:
     backoff keyed by job), hangs killed at a wall deadline, degraded
     answers explicitly ``UNKNOWN`` with the resource that ran out --
     and adds a thread-safe ``submit``/``result`` surface driven by one
-    supervisor thread.
+    supervisor thread, which :meth:`submit` and :meth:`close` wake
+    through a pipe (so a job is dispatched the moment it arrives).
+
+    A job with a timeout is killed and finalized by its deadline plus
+    ``wall_grace`` even on a worker that never reports ready; once the
+    worker is ready, the wall clock restarts from that moment.
 
     A request is a dict: ``fingerprint`` + ``execution`` (its JSON
-    document), ``relation`` (one of :data:`QUERY_RELATIONS`), event ids
-    ``a``/``b`` for pair relations, optional ``drop_racing``,
-    ``max_states``/``timeout`` (the per-query budget -- the *caller*
-    clamps, see :func:`repro.budget.clamp_request`), and optional
-    ``witnesses`` (stored schedules to seed the worker's cache).  The
-    outcome is a dict: ``verdict`` / ``decided_by`` / ``resource``,
-    optional ``witness`` and ``classification``, the per-query
-    ``planner`` tier snapshot, and ``witnesses_found`` -- newly
-    discovered schedules the caller should persist.  A pool built with
-    ``trace=True`` additionally ships ``spans``: the worker's in-memory
-    query trace (bounded by ``trace_capacity``, scan-pool idiom) plus a
+    document, as a dict or as text), ``relation`` (one of
+    :data:`QUERY_RELATIONS`), event ids ``a``/``b`` for pair
+    relations, optional ``drop_racing``, ``max_states``/``timeout``
+    (the per-query budget -- the *caller* clamps, see
+    :func:`repro.budget.clamp_request`), and optional ``witnesses``
+    (stored schedules to seed the worker's cache).  The outcome is a
+    dict: ``verdict`` / ``decided_by`` / ``resource``, optional
+    ``witness`` and ``classification``, the per-query ``planner`` tier
+    snapshot, and ``witnesses_found`` -- newly discovered schedules the
+    caller should persist.  A pool built with ``trace=True``
+    additionally ships ``spans``: the worker's in-memory query trace
+    (bounded by ``trace_capacity``, scan-pool idiom) plus a
     ``serve.worker.eval`` bound, each tagged with the worker uid -- the
     caller adds the request id and emits them to its sink.
     """
@@ -860,8 +888,6 @@ class QueryWorkerPool:
         retry: Optional[RetryPolicy] = None,
         faults: Optional[Dict[str, Dict[str, Any]]] = None,
         plan: Optional[Sequence[str]] = None,
-        poll_interval: float = 0.02,
-        drain_grace: float = 1.0,
         wall_grace: float = 5.0,
         context_capacity: int = 8,
         trace: bool = False,
@@ -874,22 +900,12 @@ class QueryWorkerPool:
         self.retry = retry if retry is not None else RetryPolicy(jitter=0.5)
         self.faults = dict(faults or {})
         self.plan = list(plan) if plan is not None else None
-        self.poll_interval = poll_interval
-        self.drain_grace = drain_grace
         self.wall_grace = wall_grace
         self.context_capacity = context_capacity
 
         self._ctx = mp.get_context("spawn")
-        self._result_q = self._ctx.Queue()
         self._conf = {
-            "rlimits": (
-                {
-                    "max_memory_mb": limits.max_memory_mb,
-                    "max_cpu_seconds": limits.max_cpu_seconds,
-                }
-                if limits is not None
-                else None
-            ),
+            "rlimits": _rlimits_conf(limits),
             "faults": self.faults,
             "plan": self.plan,
             "context_capacity": context_capacity,
@@ -901,12 +917,16 @@ class QueryWorkerPool:
         self._pending: deque = deque()
         self._task_ids = itertools.count()
         self._slots: List[Optional[_Worker]] = [None] * workers
-        self._by_uid: Dict[int, _Worker] = {}
         self._next_uid = itertools.count()
         self._slots_used: set = set()
         self._stop = threading.Event()
         self._drain_deadline: Optional[float] = None
         self._closed = threading.Event()
+        # the supervisor's doorbell: one byte per submit/close, written
+        # under _lock (never after the supervisor closed it)
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         # counters (read under _lock by stats())
         self._submitted = 0
         self._answered = 0
@@ -933,6 +953,7 @@ class QueryWorkerPool:
             self._jobs[tid] = job
             self._pending.append(tid)
             self._submitted += 1
+            self._ring()
         return tid
 
     def result(self, task_id: int, timeout: Optional[float] = None) -> Dict[str, Any]:
@@ -960,6 +981,7 @@ class QueryWorkerPool:
                     time.monotonic() + timeout if drain else time.monotonic()
                 )
                 self._stop.set()
+                self._ring()
         self._closed.wait(timeout + 10.0)
         self._thread.join(timeout=5.0)
 
@@ -987,6 +1009,13 @@ class QueryWorkerPool:
         self.close()
 
     # -- supervisor thread ---------------------------------------------
+    def _ring(self) -> None:
+        """Wake the supervisor (call with ``_lock`` held)."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full: a wake-up is already pending
+
     def _finalize(self, tid: int, outcome: Dict[str, Any]) -> None:
         with self._lock:
             job = self._jobs.get(tid)
@@ -1019,16 +1048,9 @@ class QueryWorkerPool:
             self._finalize(tid, _unknown_outcome(resource))
 
     def _spawn(self, slot: int) -> _Worker:
-        uid = next(self._next_uid)
-        task_q = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=_query_worker_main,
-            args=(uid, task_q, self._result_q, self._conf),
-            daemon=True,
+        w = _start_worker(
+            self._ctx, next(self._next_uid), _query_worker_main, self._conf
         )
-        proc.start()
-        w = _Worker(uid, proc, task_q)
-        self._by_uid[uid] = w
         with self._lock:
             self._spawns += 1
             if slot in self._slots_used:
@@ -1036,11 +1058,19 @@ class QueryWorkerPool:
             self._slots_used.add(slot)
         return w
 
-    def _retire(self, slot: int) -> None:
+    def _reap(self, slot: int, resource: str) -> None:
+        """Retire the dead worker in ``slot``; a job its pipe (read to
+        EOF) did not settle fails with ``resource``."""
         w = self._slots[slot]
         w.proc.join()
-        self._by_uid.pop(w.uid, None)
+        w.drain(self._handle_result)
+        tid = w.busy_task
+        w.dispose()
         self._slots[slot] = None
+        if tid is not None:
+            with self._lock:
+                self._crashes += 1
+            self._fail(tid, resource)
 
     def _next_dispatchable(self, now: float) -> Optional[int]:
         with self._lock:
@@ -1061,47 +1091,23 @@ class QueryWorkerPool:
         self._fail(expired, DEADLINE)
         return self._next_dispatchable(now)
 
-    def _handle_result(self, msg) -> None:
-        uid, tid, kind, payload = msg
+    def _handle_result(self, w: _Worker, msg) -> None:
+        tid, kind, payload = msg
         if kind == "ready":
-            w = self._by_uid.get(uid)
-            if w is not None:
-                w.ready = True
-                if w.kill_after is not None:
-                    w.kill_at = time.monotonic() + w.kill_after
-                    w.kill_after = None
+            w.mark_ready()
             return
-        w = self._by_uid.get(uid)
-        if w is not None and w.busy_task == tid:
-            w.busy_task = None
-            w.kill_at = None
-            w.kill_after = None
-            w.died_at = None
-        if w is not None and kind == "memory":
+        w.settle(tid)
+        if kind == "memory":
             w.retiring = True
             with self._lock:
                 self._crashes += 1
-        with self._lock:
-            job = self._jobs.get(tid)
-            settled = job is None or job.outcome is not None
-            requeued = tid in self._pending
-        if settled:
-            return
         if kind == "ok":
-            if isinstance(payload, dict):
-                # shipped spans carry the provenance the pool knows (the
-                # worker uid); the daemon adds the request id and emits
-                for span in payload.get("spans") or ():
-                    span.setdefault("worker", uid)
-            if requeued:
-                # late answer from an incarnation we had given up on
-                with self._lock:
-                    try:
-                        self._pending.remove(tid)
-                    except ValueError:
-                        pass
+            # shipped spans carry the provenance the pool knows (the
+            # worker uid); the daemon adds the request id and emits
+            for span in payload.get("spans") or ():
+                span.setdefault("worker", w.uid)
             self._finalize(tid, payload)
-        elif not requeued:  # "memory"/"error" not already counted at death
+        else:  # "memory" or "error"
             self._fail(tid, MEMORY if kind == "memory" else CRASH)
 
     def _run(self) -> None:
@@ -1115,82 +1121,72 @@ class QueryWorkerPool:
                     )
                     stopping = self._stop.is_set()
                     drain_deadline = self._drain_deadline
-                if stopping and (
-                    not unfinished
-                    or (drain_deadline is not None and now >= drain_deadline)
-                ):
+                if stopping and (not unfinished or now >= drain_deadline):
                     return
+                idle = False
                 for slot in range(self.workers):
                     w = slots[slot]
-                    if w is not None and w.busy_task is None and (
-                        w.retiring or not w.proc.is_alive()
-                    ):
-                        if w.proc.is_alive():
-                            continue  # retiring, not yet gone: stand by
-                        self._retire(slot)
-                        w = None
                     if w is None:
                         # keep the bench warm: a daemon's first query
                         # should not pay interpreter spawn time, and a
                         # replacement must exist before the next crash
                         slots[slot] = w = self._spawn(slot)
-                    if w.busy_task is None:
-                        tid = self._next_dispatchable(now)
-                        if tid is None:
-                            continue
-                        job = self._jobs[tid]
-                        w.task_q.put((tid, job.request, job.attempt))
-                        w.busy_task = tid
-                        wall = None
-                        if job.deadline is not None:
-                            wall = max(0.1, job.deadline - now) + self.wall_grace
-                        if w.ready:
-                            w.kill_at = (now + wall) if wall is not None else None
-                            w.kill_after = None
-                        else:  # cold worker: arm on its ready message
-                            w.kill_at = None
-                            w.kill_after = wall
+                    if w.busy_task is not None or w.retiring:
+                        continue
+                    tid = self._next_dispatchable(now)
+                    if tid is None:
+                        idle = True
+                        continue
+                    job = self._jobs[tid]
+                    w.task_q.put((tid, job.request, job.attempt))
+                    w.busy_task = tid
+                    if job.deadline is None:
+                        w.arm(now, None)
+                    else:
+                        grace = self.wall_grace
+                        w.arm(now, max(0.1, job.deadline - now) + grace,
+                              backstop=job.deadline + grace)
+                # sleep until a worker reports or dies, a submit/close
+                # rings, or the next deadline: a wall kill, a retry's
+                # backoff or expiry (when a worker could take it), the
+                # drain's end
+                deadlines = [w.kill_at for w in slots if w is not None]
+                if stopping:
+                    deadlines.append(drain_deadline)
+                if idle:
+                    with self._lock:
+                        for tid in self._pending:
+                            job = self._jobs.get(tid)
+                            if job is not None:
+                                deadlines += [job.not_before, job.deadline]
+                _sleep_until_event(slots, deadlines, self._wake_r)
                 try:
-                    self._handle_result(
-                        self._result_q.get(timeout=self.poll_interval)
-                    )
-                    while True:
-                        self._handle_result(self._result_q.get_nowait())
-                except queue_mod.Empty:
+                    os.read(self._wake_r, 4096)
+                except BlockingIOError:
                     pass
                 now = time.monotonic()
-                for slot in range(self.workers):
-                    w = slots[slot]
-                    if w is None or w.busy_task is None:
+                for slot, w in enumerate(slots):
+                    if w is None:
                         continue
+                    w.drain(self._handle_result)
                     if not w.proc.is_alive():
-                        exitcode = w.proc.exitcode
-                        if w.died_at is None:
-                            w.died_at = now
-                        if exitcode == 0 and now - w.died_at < self.drain_grace:
-                            continue  # clean exit: final report in flight
-                        tid = w.busy_task
-                        resource = _death_resource(exitcode)
-                        with self._lock:
-                            self._crashes += 1
-                        self._retire(slot)
-                        self._fail(tid, resource)
+                        self._reap(slot, _death_resource(w.proc.exitcode))
                     elif w.kill_at is not None and now >= w.kill_at:
-                        tid = w.busy_task
                         w.proc.kill()
-                        with self._lock:
-                            self._crashes += 1
-                        self._retire(slot)
-                        self._fail(tid, DEADLINE)
+                        self._reap(slot, DEADLINE)
         finally:
-            # answer every waiter, then tear the workers down
+            # refuse new work and answer every waiter, then tear the
+            # workers down
             with self._lock:
+                self._stop.set()
+                os.close(self._wake_r)
+                os.close(self._wake_w)
                 leftovers = [
                     tid for tid, j in self._jobs.items() if j.outcome is None
                 ]
             for tid in leftovers:
                 self._finalize(tid, _unknown_outcome(SHUTDOWN))
-            SupervisedScanner._shutdown(slots, self._result_q)
+            _shutdown(slots)
             self._closed.set()
 
 

@@ -11,14 +11,17 @@ workers, no warm in-process cache) must be answered by the ``witness``
 tier with zero engine states.
 """
 
+import gc
 import json
 import logging
 import os
+import shutil
 import signal
 import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 
@@ -58,6 +61,20 @@ def _post(url, body, timeout=120.0, headers=None):
             return resp.status, json.loads(resp.read()), dict(resp.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read()), dict(exc.headers)
+
+
+def _recorded(daemon, requests, timeout=10.0):
+    """Wait until ``daemon`` has recorded ``requests`` tracked requests.
+    A request is recorded (debug rings, /status counts, metrics, trace)
+    just after its response is written, so a client's next request can
+    overtake the record of its previous one."""
+    deadline = time.monotonic() + timeout
+    while True:
+        http = json.loads(_get(daemon.url("/status"))[1])["http"]
+        if sum(http.values()) >= requests:
+            return
+        assert time.monotonic() < deadline, "requests never recorded"
+        time.sleep(0.01)
 
 
 def _query_request(exe, relation="ccw", pair=None, **extra):
@@ -240,6 +257,84 @@ class TestWitnessStore:
         assert store.flush() == 1  # the next flush retries and succeeds
         assert store.stats()["dirty"] == 0
 
+    def test_store_written_by_the_previous_format_reloads_identically(
+        self, tmp_path
+    ):
+        """``tests/data/legacy_store`` was written by the store while its
+        entries still held a live execution plus a WitnessCache (one
+        witness file hand-damaged with a schedule that cannot replay).
+        ``expected.json`` records what that code reported after
+        reloading it, and what its compaction wrote.  The compact
+        entries must agree byte for byte."""
+        data = os.path.join(os.path.dirname(__file__), "data", "legacy_store")
+        with open(os.path.join(data, "expected.json")) as fh:
+            expected = json.load(fh)
+        root = str(tmp_path / "store")
+        shutil.copytree(os.path.join(data, "store"), root)
+        store = WitnessStore(root)
+        assert store.stats() == expected["stats"]
+        for fp, points in expected["points"].items():
+            assert store.points_for(fp) == points
+        assert store.compact() == len(expected["points"])
+        for fp, witnesses_text in expected["compacted"].items():
+            with open(os.path.join(data, "store", fp, "execution.json")) as fh:
+                execution_text = fh.read()
+            with open(os.path.join(root, fp, "execution.json")) as fh:
+                assert fh.read() == execution_text
+            with open(os.path.join(root, fp, "witnesses.json")) as fh:
+                assert fh.read() == witnesses_text
+            # put + add + flush from scratch writes the same two files
+            fresh = WitnessStore(str(tmp_path / "fresh"))
+            exe = serialize.loads(execution_text)
+            assert fresh.put_execution(exe) == fp
+            fresh.add_points(fp, expected["points"][fp])
+            fresh.flush()
+            with open(tmp_path / "fresh" / fp / "execution.json") as fh:
+                assert fh.read() == execution_text
+            with open(tmp_path / "fresh" / fp / "witnesses.json") as fh:
+                assert fh.read() == witnesses_text
+
+    def test_entries_are_compact_and_hold_no_execution(self, tmp_path):
+        """A stored entry keeps text, model, event count and schedules
+        -- no ProgramExecution -- and costs at most 4.5 KB resident
+        (serve-rw-sized executions: 8 events, ~2.5 KB of JSON)."""
+        from repro.model.execution import ProgramExecution
+        from repro.solve.context import SolveContext
+        from repro.solve.planner import QueryPlanner
+
+        base = masking_execution(3)
+        planner = QueryPlanner(SolveContext(base))
+        a, b = _ccw_true_pair(base)
+        mark = planner.ctx.witnesses.mark()
+        planner.ccw_verdict(a, b)
+        found = planner.ctx.witnesses.points_since(mark)
+        doc = serialize.execution_to_dict(base)
+        exes = [
+            serialize.execution_from_dict(dict(
+                doc,
+                events=[dict(doc["events"][0], label=f"fresh-{k}")]
+                + doc["events"][1:],
+            ))
+            for k in range(400)
+        ]
+        store = WitnessStore(str(tmp_path))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for exe in exes:
+                fp = store.put_execution(exe)
+                store.add_points(fp, found)
+            gc.collect()
+            per_entry = (tracemalloc.get_traced_memory()[0] - before) / 400
+        finally:
+            tracemalloc.stop()
+        assert store.stats()["executions"] == 400
+        assert per_entry <= 4.5 * 1024, per_entry
+        for entry in store._entries.values():
+            for name in entry.__slots__:
+                assert not isinstance(getattr(entry, name), ProgramExecution)
+
 
 # ----------------------------------------------------------------------
 class TestAdmissionQueue:
@@ -384,6 +479,79 @@ class TestQueryWorkerPool:
         assert outcome["resource"] in ("shutdown", "crash")
         with pytest.raises(RuntimeError):
             pool.submit(_query_request(exe, "ccw", pair))
+
+    def test_cold_worker_that_never_boots_is_killed_by_the_deadline(self):
+        """A job handed to a worker that hangs before reporting ready is
+        still killed and finalized UNKNOWN (deadline) by its own
+        deadline plus ``wall_grace``: the wall clock does not wait for
+        a ready message that never comes."""
+        faults.arm("pool.worker.start=hang")  # every spawned worker hangs
+        exe = masking_execution(2)
+        pool = QueryWorkerPool(
+            workers=1, retry=RetryPolicy(max_retries=0), wall_grace=0.5
+        )
+        try:
+            started = time.monotonic()
+            tid = pool.submit(_query_request(exe, "ccw", timeout=0.5))
+            outcome = pool.result(tid, timeout=30.0)
+            elapsed = time.monotonic() - started
+        finally:
+            pool.close(drain=False)
+        assert outcome["verdict"] == "UNKNOWN"
+        assert outcome["resource"] == "deadline"
+        assert elapsed < 10.0  # deadline + grace, not the 30 s wait
+        assert pool.stats()["crashes"] == 1
+
+    def test_crash_then_replacement_never_loses_the_job(self):
+        # the regression loop for a lost job after a worker crash; the
+        # CI chaos job runs the same loop for 200 iterations
+        crash_then_replacement_loop(6)
+
+    def test_hot_context_survives_a_stream_of_new_fingerprints(self):
+        """The warm-planner cache is LRU on hit: a hot execution read
+        between never-seen ones keeps its planner, however many new
+        fingerprints pass through a ``context_capacity``-sized cache.
+        A fresh planner's first feasibility query discovers the observed
+        schedule; a reused one already holds it, so ``witnesses_found``
+        is empty exactly when the context was reused."""
+        exe = masking_execution(2)
+        request = _query_request(exe, "feasible", timeout=60.0)
+        capacity = 2
+        with QueryWorkerPool(workers=1, context_capacity=capacity) as pool:
+
+            def warm(fp):
+                tid = pool.submit(dict(request, fingerprint=fp))
+                outcome = pool.result(tid, timeout=60.0)
+                assert outcome["verdict"] == "TRUE"
+                return not outcome["witnesses_found"]
+
+            assert not warm("hot")
+            for k in range(2 * capacity):
+                assert not warm(f"new-{k}")
+                assert warm("hot")
+
+
+def crash_then_replacement_loop(iterations, result_timeout=30.0):
+    """Run the transient-crash scenario ``iterations`` times, each on a
+    fresh one-worker pool: the job's first attempt segfaults its cold
+    worker, and the replacement worker must answer it.  A lost job
+    shows as ``TimeoutError`` from ``result()`` -- far sooner than the
+    job's own 60 s deadline."""
+    exe = masking_execution(2)
+    pair = exe.conflicting_pairs()[0]
+    for i in range(iterations):
+        with QueryWorkerPool(
+            workers=1,
+            retry=RetryPolicy(max_retries=1, backoff_base=0.01, jitter=0.5),
+            faults={fault_key(pair): {"action": "segv", "attempts": 1}},
+        ) as pool:
+            tid = pool.submit(_query_request(exe, "ccw", pair, timeout=60.0))
+            try:
+                outcome = pool.result(tid, timeout=result_timeout)
+            except TimeoutError:
+                raise AssertionError(f"iteration {i}: the job was lost")
+            assert outcome["verdict"] in ("TRUE", "FALSE"), (i, outcome)
+            assert pool.stats()["restarts"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -986,6 +1154,7 @@ class TestRequestTracing:
         assert err["request_id"] == "err-1"
         status, _body = _get(d.url("/executions"))
         assert status == 200
+        _recorded(d, 5)
         http = json.loads(_get(d.url("/status"))[1])["http"]
         d.close()
         # the trace is valid v3 (iter_trace validates every record) ...
@@ -1032,6 +1201,7 @@ class TestRequestTracing:
                     headers={"X-Repro-Request-Id": rid},
                 )
                 assert code == 200
+        _recorded(d, 3)
         doc = json.loads(_get(d.url("/debug/requests"))[1])
         # bounded ring, most recent first (r1 was evicted by the cap)
         assert doc["capacity"] == 2

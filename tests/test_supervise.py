@@ -352,7 +352,7 @@ class TestSecondInterruptDuringDrain:
 
         # a generous drain window so the second in-flight pair's result
         # deterministically arrives while the pool is still draining
-        scanner = SupervisedScanner(jobs=2, poll_interval=5.0, drain_grace=30.0)
+        scanner = SupervisedScanner(jobs=2, drain_grace=30.0)
         with pytest.raises(KeyboardInterrupt):
             RaceDetector(exe).feasible_races(
                 runner=scanner, on_classified=interrupted_append
