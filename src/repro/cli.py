@@ -384,15 +384,11 @@ def _races_runner(
     args: argparse.Namespace, tracer=None
 ) -> Optional[SupervisedScanner]:
     """The crash-isolated pool, when any supervision flag asks for it."""
-    wants_pool = (
-        args.jobs > 1 or args.max_memory_mb is not None or args.fault_spec
-    )
-    if not wants_pool:
+    if args.jobs <= 1 and args.max_memory_mb is None:
         return None
     limits = None
     if args.max_memory_mb is not None:
         limits = ResourceLimits(max_memory_mb=args.max_memory_mb)
-    faults = json.loads(args.fault_spec) if args.fault_spec else None
     scanner = SupervisedScanner(
         jobs=max(1, args.jobs),
         limits=limits,
@@ -400,7 +396,6 @@ def _races_runner(
         # workers at once, their retries spread out instead of
         # stampeding back in lockstep (deterministic, seeded by pair)
         retry=RetryPolicy(max_retries=args.retries, jitter=0.5),
-        faults=faults,
     )
     if tracer is not None:
         scanner.tracer = tracer
@@ -802,7 +797,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """The long-lived query daemon (see :mod:`repro.serve`)."""
     plan = _plan_from_args(args)
-    faults = json.loads(args.fault_spec) if args.fault_spec else None
     limits = None
     if args.max_memory_mb is not None:
         limits = ResourceLimits(max_memory_mb=args.max_memory_mb)
@@ -845,7 +839,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             limits=limits,
             retry=RetryPolicy(max_retries=args.retries, jitter=0.5),
             plan=plan,
-            faults=faults,
             drain_grace=args.drain_grace,
             degraded_after=args.degraded_after,
             probe_interval=args.probe_interval,
@@ -1043,7 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve live /status (JSON), /metrics "
                    "(Prometheus) and /healthz on 127.0.0.1:PORT for "
                    "the lifetime of the scan (implies --feasible)")
-    p.add_argument("--fault-spec", help=argparse.SUPPRESS)  # test-only
     p.add_argument("--failpoints", help=argparse.SUPPRESS)  # chaos schedule
     p.set_defaults(func=cmd_races)
 
@@ -1161,7 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "trickles slower stalls one handler thread at most "
                    "this long, answers 400, and is counted in "
                    "serve_client_disconnects (default 10s)")
-    p.add_argument("--fault-spec", help=argparse.SUPPRESS)  # test-only
     p.add_argument("--failpoints", help=argparse.SUPPRESS)  # chaos schedule
     p.set_defaults(func=cmd_serve)
 

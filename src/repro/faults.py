@@ -3,10 +3,8 @@
 Every robustness claim in this codebase -- "a full disk degrades the
 daemon instead of corrupting the store", "a torn rename leaves the old
 snapshot", "a segfaulting worker costs one retry" -- is only as good as
-the test that *creates* the failure.  Before this module each subsystem
-invented its own way to misbehave (the pool's per-pair ``--fault-spec``
-JSON, tests monkeypatching ``atomic_write_text``); this module replaces
-them with one seeded, schedule-driven registry that any layer can
+the test that *creates* the failure.  This module is the one way to
+create it: a seeded, schedule-driven registry that any layer can
 consult at a **named failpoint**::
 
     from repro import faults
@@ -232,8 +230,7 @@ class FailpointRegistry:
     """Named failpoints with per-point hit counting.
 
     One module-global instance (:data:`REGISTRY`) serves the whole
-    process; private instances serve scoped uses (the worker pool
-    compiles its per-pair fault spec into one).
+    process; private instances serve scoped uses.
     """
 
     def __init__(self, spec: Optional[str] = None, *, seed: int = 0) -> None:

@@ -23,6 +23,7 @@ Design notes
 
 from __future__ import annotations
 
+import copy
 import enum
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -154,14 +155,22 @@ class ProgramExecution:
                 raise ValueError(f"parent_fork references unknown process {p!r}")
             if feid not in self._fork_children or p not in self._fork_children[feid]:
                 raise ValueError(f"parent_fork of {p!r} inconsistent with fork_children")
+        self._validate_dependences()
+        if self._observed is not None:
+            if sorted(self._observed) != list(range(len(self._events))):
+                raise ValueError("observed schedule must be a permutation of all eids")
+
+    def _validate_dependences(self) -> None:
         for a, b in self._dependences:
             if not (0 <= a < len(self._events) and 0 <= b < len(self._events)):
                 raise ValueError(f"dependence ({a},{b}) references unknown event")
             if a == b:
                 raise ValueError("dependence relation must be irreflexive")
-        if self._observed is not None:
-            if sorted(self._observed) != list(range(len(self._events))):
-                raise ValueError("observed schedule must be a permutation of all eids")
+
+    def _build_dependence_cache(self) -> None:
+        self._dep_preds: List[Tuple[int, ...]] = [() for _ in range(len(self._events))]
+        for a, b in sorted(self._dependences):
+            self._dep_preds[b] = self._dep_preds[b] + (a,)
 
     def _build_caches(self) -> None:
         from repro.memmodel import po_constraint_pairs
@@ -185,9 +194,7 @@ class ProgramExecution:
             for i, j in po_constraint_pairs(evs, self._model):
                 pred, succ = eids[i], eids[j]
                 self._po_begin_preds[succ] = self._po_begin_preds[succ] + (pred,)
-        self._dep_preds: List[Tuple[int, ...]] = [() for _ in range(n)]
-        for a, b in sorted(self._dependences):
-            self._dep_preds[b] = self._dep_preds[b] + (a,)
+        self._build_dependence_cache()
         self._semaphores = tuple(sorted({e.obj for e in self._events if e.kind.is_semaphore_op}))
         self._event_vars = tuple(sorted({e.obj for e in self._events if e.kind.is_event_var_op}))
         self._var_index = {v: i for i, v in enumerate(self._event_vars)}
@@ -382,19 +389,15 @@ class ProgramExecution:
 
     # ------------------------------------------------------------------
     def with_dependences(self, dependences: Iterable[Tuple[int, int]]) -> "ProgramExecution":
-        """A copy of this execution with a different ``D`` relation."""
-        return ProgramExecution(
-            self._events,
-            self._processes,
-            fork_children=self._fork_children,
-            join_targets=self._join_targets,
-            parent_fork=self._parent_fork,
-            sem_initial=self._sem_initial,
-            var_initial=self._var_initial,
-            dependences=dependences,
-            observed_schedule=self._observed,
-            memory_model=self._model.name,
-        )
+        """A copy of this execution with a different ``D`` relation.
+        Only the dependence state is validated and rebuilt; everything
+        else is immutable after construction and shared with ``self``
+        (race witnesses rebind to such a copy per race)."""
+        clone = copy.copy(self)
+        clone._dependences = frozenset((int(a), int(b)) for a, b in dependences)
+        clone._validate_dependences()
+        clone._build_dependence_cache()
+        return clone
 
     def without_dependences(self) -> "ProgramExecution":
         """The Section 5.3 view: same events, ``D`` ignored."""

@@ -160,11 +160,27 @@ def witness_to_dict(witness) -> Dict[str, Any]:
 def witness_from_dict(exe: ProgramExecution, data: Dict[str, Any]):
     """Rebuild a witness against ``exe`` (inverse of
     :func:`witness_to_dict`)."""
-    from repro.core.engine import Point
     from repro.core.witness import Witness
 
-    points = [Point(int(eid), bool(end)) for eid, end in data["points"]]
-    return Witness(exe, points)
+    return Witness(exe, _points(data))
+
+
+def _points(data: Dict[str, Any]):
+    from repro.core.engine import Point
+
+    return [Point(int(eid), bool(end)) for eid, end in data["points"]]
+
+
+def _race_witness(exe: ProgramExecution, rec: Dict[str, Any]):
+    """A race or classification record's witness, bound to the
+    execution a race witness replays on (see
+    :func:`repro.races.detector.race_witness`)."""
+    from repro.races.detector import race_witness
+
+    witness = rec.get("witness")
+    if witness is None:
+        return None
+    return race_witness(exe, int(rec["a"]), int(rec["b"]), _points(witness))
 
 
 def classification_to_dict(c) -> Dict[str, Any]:
@@ -185,13 +201,12 @@ def classification_from_dict(exe: ProgramExecution, data: Dict[str, Any]):
     """Inverse of :func:`classification_to_dict`, rebuilt against ``exe``."""
     from repro.races.detector import PairClassification
 
-    witness = data.get("witness")
     return PairClassification(
         a=int(data["a"]),
         b=int(data["b"]),
         status=data["status"],
         variables=frozenset(data.get("variables", ())),
-        witness=witness_from_dict(exe, witness) if witness is not None else None,
+        witness=_race_witness(exe, data),
         resource=data.get("resource"),
         decided_by=data.get("decided_by"),  # absent in version-1 journals
     )
@@ -275,16 +290,13 @@ def report_from_dict(data: Dict[str, Any]):
     exe = execution_from_dict(data["execution"])
     races = []
     for rec in data.get("races", ()):
-        witness = rec.get("witness")
         races.append(
             Race(
                 a=int(rec["a"]),
                 b=int(rec["b"]),
                 variables=frozenset(rec.get("variables", ())),
                 kind=rec["kind"],
-                witness=witness_from_dict(exe, witness)
-                if witness is not None
-                else None,
+                witness=_race_witness(exe, rec),
             )
         )
     classifications = [

@@ -158,6 +158,8 @@ class PairScanOptions:
     runner to attribute engine search cost to branch choice points (a
     :class:`~repro.obs.profile.SearchProfile` per worker, merged and
     shipped home in the runner's tier snapshot under ``"profile"``).
+    ``plan`` and ``por`` are the detector's tier ladder (``None`` = the
+    default) and partial-order-reduction mode.
     """
 
     drop_racing_dependences: bool = True
@@ -166,6 +168,7 @@ class PairScanOptions:
     deadline: Optional[float] = None
     profile: bool = False
     por: str = "sleep"
+    plan: Optional[Tuple[str, ...]] = None
 
 
 #: One unit of scan work: ``(a, b, conflict variables)``.
@@ -183,6 +186,23 @@ PairRunner = Callable[
      Optional[Callable[[PairClassification], None]]],
     Tuple[List[PairClassification], bool],
 ]
+
+
+def race_execution(exe: ProgramExecution, a: int, b: int) -> ProgramExecution:
+    """The execution a race of ``a`` and ``b`` is judged on: ``exe``
+    without the dependence edges between exactly ``a`` and ``b`` (see
+    :meth:`RaceDetector.feasible_races`)."""
+    drop = {(x, y) for (x, y) in exe.dependences if {x, y} == {a, b}}
+    return exe.with_dependences(exe.dependences - drop) if drop else exe
+
+
+def race_witness(exe: ProgramExecution, a: int, b: int, points) -> Witness:
+    """A feasible race's witness schedule, bound to the execution it
+    replays on: :func:`race_execution`.  Every race witness -- fresh
+    from :func:`classify_pair`, or rebuilt from a worker result, a
+    checkpoint journal or a saved report -- is bound here.  (A schedule
+    found with the pair's dependences kept replays there a fortiori.)"""
+    return Witness(race_execution(exe, a, b), points)
 
 
 def classify_pair(
@@ -220,10 +240,8 @@ def classify_pair(
     if verdict.is_true:
         witness = verdict.witness
         if witness is not None and drop:
-            # cached/engine witnesses are anchored to the base
-            # execution; a race witness must validate against the
-            # execution *without* the racing pair's own dependences
-            witness = Witness(ctx.execution_for(drop), witness.points)
+            # cached/engine witnesses are anchored to the base execution
+            witness = race_witness(exe, a, b, witness.points)
         return PairClassification(
             a, b, FEASIBLE, variables,
             witness=witness, decided_by=verdict.provenance,
@@ -401,6 +419,7 @@ class RaceDetector:
                 deadline=budget.deadline if budget is not None else None,
                 profile=profile is not None,
                 por=self.por,
+                plan=self.plan,
             )
             result = runner(self.exe, todo, options, notify)
             if len(result) == 3:

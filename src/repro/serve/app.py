@@ -92,6 +92,7 @@ from repro.obs.server import QuietHandler
 from repro.obs.trace import NULL_SINK, FailsafeSink, TraceSink
 from repro.serve.admission import AdmissionQueue, Draining, Overloaded
 from repro.serve.store import WitnessStore
+from repro.solve.planner import PlannerReport
 from repro.supervise.pool import QUERY_RELATIONS, QueryWorkerPool
 from repro.supervise.retry import RetryPolicy
 from repro.supervise.rlimits import ResourceLimits
@@ -367,7 +368,6 @@ class QueryDaemon:
         limits: Optional[ResourceLimits] = None,
         retry: Optional[RetryPolicy] = None,
         plan: Optional[Any] = None,
-        faults: Optional[Dict[str, Dict[str, Any]]] = None,
         drain_grace: float = 10.0,
         degraded_after: int = 3,
         probe_interval: float = 2.0,
@@ -423,7 +423,6 @@ class QueryDaemon:
             limits=limits,
             retry=retry,
             plan=plan,
-            faults=faults,
             trace=self._traced,
         )
         # bind eagerly: a taken port must fail *now*, before the CLI
@@ -821,10 +820,17 @@ class QueryDaemon:
                 wait = (timeout + self.pool.wall_grace) * (1 + retries) + 15.0
             outcome = self.pool.result(tid, timeout=wait)
         # the worker's spans (already uid-tagged by the pool) ride the
-        # outcome; pull them off before the response body is built
-        worker_spans = outcome.pop("spans", None)
-        if worker_spans:
-            obs.spans.extend(worker_spans)
+        # outcome; pull them off before the response body is built.  A
+        # fresh planner's one-off feasibility check rides apart (a scan
+        # counts it once); this query's tally and trace include it
+        worker_spans = outcome.pop("spans", None) or []
+        base = outcome.pop("base", None)
+        if base is not None:
+            tally = PlannerReport.from_snapshot(base["planner"])
+            tally.merge(outcome["planner"])
+            outcome["planner"] = tally.snapshot()
+            worker_spans = (base.get("spans") or []) + worker_spans
+        obs.spans.extend(worker_spans)
         # -- persist what the query discovered ------------------------
         with obs.phase("store.write"):
             persisted = self.store.add_points(

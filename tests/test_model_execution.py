@@ -138,8 +138,18 @@ class TestDerivedCopies:
         exe = two_proc_execution()
         copy = exe.with_dependences([(3, 1)])
         assert copy.dependences == {(3, 1)}
+        assert copy.dependence_predecessors(1) == (3,)
+        assert copy.dependence_predecessors(3) == ()
         # original untouched
         assert exe.dependences == {(1, 3)}
+        assert exe.dependence_predecessors(3) == (1,)
+
+    def test_with_dependences_validates_the_new_relation(self):
+        exe = two_proc_execution()
+        with pytest.raises(ValueError):
+            exe.with_dependences([(1, 99)])
+        with pytest.raises(ValueError):
+            exe.with_dependences([(2, 2)])
 
     def test_repr(self):
         assert "4 events" in repr(two_proc_execution())

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults
 from repro.budget import Budget
 from repro.model import serialize
 from repro.obs import (
@@ -37,7 +38,7 @@ from repro.races.detector import RaceDetector
 from repro.solve.planner import PlannerReport
 from repro.supervise import RetryPolicy, SupervisedScanner
 
-from tests.test_supervise import SRC_DIR, fault_key, masking_execution
+from tests.test_supervise import SRC_DIR, masking_execution, pair_fault
 
 
 class _C:
@@ -332,17 +333,17 @@ class TestServedLiveScan:
 
             poller = threading.Thread(target=poll, daemon=True)
             poller.start()
+            # pairs[0] (dispatched first) dies while the second worker
+            # is pinned on pairs[1], so pending work remains when the
+            # crash is handled and the pool must spawn a replacement
+            # worker -- the restart /status must show
+            faults.arm(";".join([
+                pair_fault(pairs[0], "segv"),
+                pair_fault(pairs[1], "hang:1.0"),
+            ]))
             scanner = SupervisedScanner(
                 jobs=2,
                 retry=RetryPolicy(max_retries=0, backoff_base=0.01),
-                # pairs[0] (dispatched first) dies while the second
-                # worker is pinned on pairs[1], so pending work remains
-                # when the crash is handled and the pool must spawn a
-                # replacement worker -- the restart /status must show
-                faults={
-                    fault_key(pairs[0]): {"action": "segv"},
-                    fault_key(pairs[1]): {"action": "hang", "seconds": 1.0},
-                },
                 board=board,
             )
             board.begin_scan(total=len(pairs))
@@ -389,15 +390,15 @@ needs_posix_kill = pytest.mark.skipif(
 )
 
 
-def _spawn_served_scan(exe_path, port, fault_spec=None, extra=()):
+def _spawn_served_scan(exe_path, port, failpoints=None, extra=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     argv = [
         sys.executable, "-m", "repro", "races", str(exe_path),
         "--jobs", "2", "--serve", str(port), *extra,
     ]
-    if fault_spec is not None:
-        argv += ["--fault-spec", json.dumps(fault_spec)]
+    if failpoints is not None:
+        argv += ["--failpoints", failpoints]
     return subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,
@@ -458,8 +459,7 @@ class TestCliServe:
             exe_path, port,
             # one pair hangs forever, so the scan is guaranteed to be
             # mid-flight (and the server guaranteed up) when we look
-            fault_spec={fault_key(pairs[0]): {"action": "hang",
-                                              "seconds": 600}},
+            failpoints=pair_fault(pairs[0], "hang:600"),
         )
         try:
             try:

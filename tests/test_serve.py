@@ -42,7 +42,7 @@ from repro.supervise import ResourceLimits, RetryPolicy
 from repro.supervise.checkpoint import CheckpointJournal, scan_fingerprint
 from repro.supervise.pool import QueryWorkerPool
 
-from tests.test_supervise import SRC_DIR, fault_key, masking_execution
+from tests.test_supervise import SRC_DIR, masking_execution, pair_fault
 
 
 def _get(url, timeout=10.0):
@@ -395,10 +395,10 @@ class TestQueryWorkerPool:
     def test_transient_crash_answered_by_replacement_worker(self):
         exe = masking_execution(2)
         pair = exe.conflicting_pairs()[0]
+        faults.arm(pair_fault(pair, "segv@first=1"))
         with QueryWorkerPool(
             workers=1,
             retry=RetryPolicy(max_retries=1, backoff_base=0.01, jitter=0.5),
-            faults={fault_key(pair): {"action": "segv", "attempts": 1}},
         ) as pool:
             tid = pool.submit(_query_request(exe, "ccw", pair, timeout=60.0))
             outcome = pool.result(tid, timeout=120.0)
@@ -411,10 +411,10 @@ class TestQueryWorkerPool:
     def test_persistent_crash_is_explicit_unknown(self):
         exe = masking_execution(2)
         pair = exe.conflicting_pairs()[0]
+        faults.arm(pair_fault(pair, "segv"))
         with QueryWorkerPool(
             workers=1,
             retry=RetryPolicy(max_retries=1, backoff_base=0.01, jitter=0.5),
-            faults={fault_key(pair): {"action": "segv"}},
         ) as pool:
             tid = pool.submit(_query_request(exe, "ccw", pair, timeout=60.0))
             outcome = pool.result(tid, timeout=120.0)
@@ -425,11 +425,8 @@ class TestQueryWorkerPool:
     def test_oom_retires_the_worker_and_degrades(self):
         exe = masking_execution(2)
         pair = exe.conflicting_pairs()[0]
-        with QueryWorkerPool(
-            workers=1,
-            retry=RetryPolicy(max_retries=0),
-            faults={fault_key(pair): {"action": "oom"}},
-        ) as pool:
+        faults.arm(pair_fault(pair, "oom"))
+        with QueryWorkerPool(workers=1, retry=RetryPolicy(max_retries=0)) as pool:
             tid = pool.submit(_query_request(exe, "ccw", pair, timeout=60.0))
             outcome = pool.result(tid, timeout=120.0)
             assert outcome["verdict"] == "UNKNOWN"
@@ -442,11 +439,9 @@ class TestQueryWorkerPool:
     def test_hung_worker_is_killed_at_the_wall(self):
         exe = masking_execution(2)
         pair = exe.conflicting_pairs()[0]
+        faults.arm(pair_fault(pair, "hang:600"))
         with QueryWorkerPool(
-            workers=1,
-            retry=RetryPolicy(max_retries=0),
-            wall_grace=0.5,
-            faults={fault_key(pair): {"action": "hang", "seconds": 600}},
+            workers=1, retry=RetryPolicy(max_retries=0), wall_grace=0.5
         ) as pool:
             tid = pool.submit(_query_request(exe, "ccw", pair, timeout=0.5))
             outcome = pool.result(tid, timeout=120.0)
@@ -466,11 +461,8 @@ class TestQueryWorkerPool:
     def test_close_finalizes_waiters_as_shutdown(self):
         exe = masking_execution(2)
         pair = exe.conflicting_pairs()[0]
-        pool = QueryWorkerPool(
-            workers=1,
-            retry=RetryPolicy(max_retries=0),
-            faults={fault_key(pair): {"action": "hang", "seconds": 600}},
-        )
+        faults.arm(pair_fault(pair, "hang:600"))
+        pool = QueryWorkerPool(workers=1, retry=RetryPolicy(max_retries=0))
         tid = pool.submit(_query_request(exe, "ccw", pair, timeout=300.0))
         time.sleep(0.2)  # give the supervisor a chance to dispatch
         pool.close(drain=False)
@@ -539,11 +531,11 @@ def crash_then_replacement_loop(iterations, result_timeout=30.0):
     job's own 60 s deadline."""
     exe = masking_execution(2)
     pair = exe.conflicting_pairs()[0]
+    faults.arm(pair_fault(pair, "segv@first=1"))
     for i in range(iterations):
         with QueryWorkerPool(
             workers=1,
             retry=RetryPolicy(max_retries=1, backoff_base=0.01, jitter=0.5),
-            faults={fault_key(pair): {"action": "segv", "attempts": 1}},
         ) as pool:
             tid = pool.submit(_query_request(exe, "ccw", pair, timeout=60.0))
             try:
@@ -753,8 +745,8 @@ class TestQueryDaemon:
         SIGSEGV, the replacement worker answers the same request."""
         exe = masking_execution(2)
         a, b = _ccw_true_pair(exe)
+        faults.arm(pair_fault((a, b), "segv@first=1"))
         d = daemon_factory(
-            faults={fault_key((a, b)): {"action": "segv", "attempts": 1}},
             retry=RetryPolicy(max_retries=1, backoff_base=0.01, jitter=0.5),
         )
         _, out, _ = _post(
@@ -772,8 +764,8 @@ class TestQueryDaemon:
     def test_always_crashing_query_degrades_to_unknown(self, daemon_factory):
         exe = masking_execution(2)
         a, b = exe.conflicting_pairs()[0]
+        faults.arm(pair_fault((a, b), "segv"))
         d = daemon_factory(
-            faults={fault_key((a, b)): {"action": "segv"}},
             retry=RetryPolicy(max_retries=1, backoff_base=0.01, jitter=0.5),
         )
         _, out, _ = _post(
@@ -1057,9 +1049,7 @@ class TestCliServeDaemon:
         port = _free_port()
         proc = _spawn_daemon(
             tmp_path / "store", port,
-            extra=["--fault-spec",
-                   json.dumps({f"{a},{b}": {"action": "segv",
-                                            "attempts": 1}})],
+            extra=["--failpoints", pair_fault((a, b), "segv@first=1")],
         )
         try:
             _wait_ready(port)

@@ -9,7 +9,6 @@ subprocess tests kill a checkpointed CLI scan outright (SIGKILL /
 SIGINT) and assert the journal makes ``--resume`` exact.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -20,12 +19,14 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import faults
 from repro.budget import Budget
 from repro.cli import main as cli_main
 from repro.lang.ast import Assign, Const, ProcessDef, Program, SemP, SemV, Shared
 from repro.lang.interpreter import run_program
 from repro.lang.scheduler import FixedScheduler
 from repro.model import serialize
+from repro.obs.trace import RecordingSink
 from repro.races import detector as detector_mod
 from repro.races.detector import UNKNOWN, RaceDetector
 from repro.supervise import (
@@ -58,8 +59,29 @@ def masking_execution(width: int = 3):
     return run_program(prog, FixedScheduler(schedule)).to_execution()
 
 
-def fault_key(pair):
-    return f"{pair[0]},{pair[1]}"
+def contended_brawl_execution(width: int = 5):
+    """``width`` writers of ``x``; writers ``2g`` and ``2g+1`` guard
+    their write with the lock cell ``m_g``, fed one token by a supplier
+    (the contended brawl of ``benchmarks/bench_race_detection.py``).
+    Under the ``structural,observed`` ladder some pairs stay unknown;
+    the exact engine decides them."""
+    procs, schedule = [], []
+    for g in range((width + 1) // 2):
+        procs.append(ProcessDef(f"s{g}", [SemV(f"m{g}")]))
+        schedule.append(f"s{g}")
+    for k in range(width):
+        procs.append(ProcessDef(
+            f"w{k}",
+            [SemP(f"m{k // 2}"), Assign("x", Const(k)), SemV(f"m{k // 2}")],
+        ))
+        schedule += [f"w{k}"] * 3
+    return run_program(Program(procs), FixedScheduler(schedule)).to_execution()
+
+
+def pair_fault(pair, action):
+    """A failpoint clause rigging every pool job for ``pair`` (arm it
+    with :func:`repro.faults.arm` or ``--failpoints``)."""
+    return f"pool.pair.{pair[0]},{pair[1]}={action}"
 
 
 def by_pair(report):
@@ -142,18 +164,20 @@ class TestSupervisedScanner:
         exe = masking_execution(4)
         pairs = exe.conflicting_pairs()
         crash_pair, oom_pair, hang_pair = pairs[0], pairs[1], pairs[2]
+        faults.arm(";".join([
+            pair_fault(crash_pair, "segv"),
+            pair_fault(oom_pair, "oom"),
+            pair_fault(hang_pair, "hang:600"),
+        ]))
         scanner = SupervisedScanner(
             jobs=2,
             limits=ResourceLimits(max_memory_mb=256),
             retry=RetryPolicy(max_retries=1, backoff_base=0.01),
-            pair_wall_timeout=2.0,
-            faults={
-                fault_key(crash_pair): {"action": "segv"},
-                fault_key(oom_pair): {"action": "oom"},
-                fault_key(hang_pair): {"action": "hang", "seconds": 600},
-            },
         )
-        report = RaceDetector(exe).feasible_races(runner=scanner)
+        # the per-pair timeout arms the hang pair's wall kill
+        report = RaceDetector(exe).feasible_races(
+            runner=scanner, per_pair_timeout=1.0
+        )
         got = by_pair(report)
         assert got[crash_pair].status == UNKNOWN
         assert got[crash_pair].resource == "crash"
@@ -168,10 +192,10 @@ class TestSupervisedScanner:
     def test_transient_crash_recovers_on_retry(self):
         exe = masking_execution(3)
         pairs = exe.conflicting_pairs()
+        faults.arm(pair_fault(pairs[0], "segv@first=1"))
         scanner = SupervisedScanner(
             jobs=2,
             retry=RetryPolicy(max_retries=2, backoff_base=0.01),
-            faults={fault_key(pairs[0]): {"action": "segv", "attempts": 1}},
         )
         report = RaceDetector(exe).feasible_races(runner=scanner)
         serial = by_pair(RaceDetector(exe).feasible_races())
@@ -180,11 +204,8 @@ class TestSupervisedScanner:
     def test_in_worker_exception_is_isolated(self):
         exe = masking_execution(3)
         pairs = exe.conflicting_pairs()
-        scanner = SupervisedScanner(
-            jobs=2,
-            retry=RetryPolicy(max_retries=0),
-            faults={fault_key(pairs[1]): {"action": "no-such-action"}},
-        )
+        faults.arm(pair_fault(pairs[1], "error"))
+        scanner = SupervisedScanner(jobs=2, retry=RetryPolicy(max_retries=0))
         report = RaceDetector(exe).feasible_races(runner=scanner)
         got = by_pair(report)
         assert got[pairs[1]].status == UNKNOWN
@@ -193,6 +214,48 @@ class TestSupervisedScanner:
         for pair in (pairs[0], pairs[2]):
             assert got[pair].status == serial[pair].status
 
+    def test_more_workers_than_cores_fold_every_event_once(self):
+        """Stress the hand-off between the pool's supervisor thread and
+        the scanning thread: four workers, crashing and failing first
+        attempts, a tiny switch interval.  Every pair is classified and
+        reported exactly once, every worker record follows its spawn."""
+        exe = masking_execution(6)
+        pairs = exe.conflicting_pairs()
+        faults.arm(";".join([
+            pair_fault(pairs[0], "segv@first=1"),
+            pair_fault(pairs[3], "error@first=1"),
+        ]))
+        sink = RecordingSink()
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = RaceDetector(
+                exe, budget=Budget.of(timeout=120.0)
+            ).feasible_races(
+                runner=SupervisedScanner(
+                    jobs=4, tracer=sink,
+                    retry=RetryPolicy(max_retries=2, backoff_base=0.01),
+                ),
+                on_classified=seen.append,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted((c.a, c.b) for c in seen) == sorted(pairs)
+        serial = by_pair(RaceDetector(exe).feasible_races())
+        assert {p: c.status for p, c in by_pair(report).items()} == {
+            p: c.status for p, c in serial.items()
+        }
+        records = sink.drain()
+        spawned = {r["worker"] for r in records if r["kind"] == "worker.spawn"}
+        assert {r["worker"] for r in records if "worker" in r} <= spawned
+        assert sum(r["kind"] == "worker.result" for r in records) == len(pairs)
+
+    def test_crash_then_replacement_never_loses_a_pair(self):
+        # the scan side of the lost-job regression loop; the CI chaos
+        # job runs the same loop for 200 iterations
+        scan_crash_then_replacement_loop(3)
+
     def test_expired_deadline_skips_search(self):
         exe = masking_execution(3)
         report = RaceDetector(
@@ -200,6 +263,29 @@ class TestSupervisedScanner:
         ).feasible_races(runner=SupervisedScanner(jobs=2))
         assert all(c.status == UNKNOWN for c in report.classifications)
         assert all(c.resource == "deadline" for c in report.classifications)
+
+
+def scan_crash_then_replacement_loop(iterations):
+    """Run a fresh one-worker scan ``iterations`` times, each
+    segfaulting the first attempt of one pair on its cold worker: the
+    replacement worker must classify that pair exactly as the serial
+    scan does.  Each scan carries a deadline, so a lost pair shows as an
+    ``unknown`` classification instead of a hang."""
+    exe = masking_execution(2)
+    pair = exe.conflicting_pairs()[0]
+    serial = by_pair(RaceDetector(exe).feasible_races())
+    faults.arm(pair_fault(pair, "segv@first=1"))
+    for i in range(iterations):
+        scanner = SupervisedScanner(
+            jobs=1,
+            retry=RetryPolicy(max_retries=1, backoff_base=0.01, jitter=0.5),
+        )
+        report = RaceDetector(exe, budget=Budget.of(timeout=60.0)).feasible_races(
+            runner=scanner
+        )
+        got = by_pair(report)[pair]
+        assert got.status == serial[pair].status, (i, got)
+        assert scanner.worker_restarts == 1, (i, scanner.worker_restarts)
 
 
 class TestSerialInterrupt:
@@ -228,14 +314,14 @@ needs_posix_kill = pytest.mark.skipif(
 )
 
 
-def _spawn_cli_scan(exe_path, journal_path, fault_spec):
+def _spawn_cli_scan(exe_path, journal_path, failpoints):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "races", str(exe_path),
             "--jobs", "2", "--checkpoint", str(journal_path),
-            "--fault-spec", json.dumps(fault_spec),
+            "--failpoints", failpoints,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -274,8 +360,7 @@ class TestKillAndResume:
         # one pair hangs forever, so the scan is guaranteed to still be
         # running (with every other pair journaled) when we SIGKILL it
         proc = _spawn_cli_scan(
-            exe_path, journal,
-            {fault_key(pairs[0]): {"action": "hang", "seconds": 600}},
+            exe_path, journal, pair_fault(pairs[0], "hang:600")
         )
         try:
             _wait_for_journal(journal, len(pairs) - 1)
@@ -312,8 +397,7 @@ class TestKillAndResume:
         serialize.save(exe, str(exe_path))
         journal = tmp_path / "scan.jsonl"
         proc = _spawn_cli_scan(
-            exe_path, journal,
-            {fault_key(pairs[0]): {"action": "hang", "seconds": 600}},
+            exe_path, journal, pair_fault(pairs[0], "hang:600")
         )
         try:
             try:
@@ -326,6 +410,128 @@ class TestKillAndResume:
         assert proc.returncode == 130
         assert b"interrupted" in err
         assert pair_count(str(journal)) == len(pairs) - 1
+
+
+# ----------------------------------------------------------------------
+class TestOnePoolRules:
+    """``races --jobs N`` runs on the query pool: the worker settings,
+    the attempt budget and the wall rule are the pool's."""
+
+    def test_jobs_2_follows_the_tier_ladder(self, tmp_path):
+        exe_path = tmp_path / "brawl.json"
+        serialize.save(contended_brawl_execution(5), str(exe_path))
+        reports = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"report{jobs}.json"
+            rc = cli_main([
+                "races", str(exe_path), "--feasible", "--jobs", str(jobs),
+                "--backends", "structural,observed", "--save", str(out),
+            ])
+            assert rc == 3  # the ladder leaves pairs unknown
+            reports[jobs] = serialize.load_report(str(out))
+
+        def classified(report):
+            return [(c.a, c.b, c.status, c.resource, c.decided_by)
+                    for c in report.classifications]
+
+        def tier_table(report):
+            snap = report.planner.snapshot()
+            for tally in snap["tiers"].values():
+                del tally["elapsed"]  # wall time, the only free column
+            return snap
+
+        assert classified(reports[2]) == classified(reports[1])
+        assert tier_table(reports[2]) == tier_table(reports[1])
+        assert set(reports[1].planner.tiers) == {"structural", "observed"}
+        assert reports[1].unknown_pairs
+
+    @needs_posix_kill
+    def test_cold_workers_that_never_boot_end_at_the_scan_deadline(
+        self, tmp_path
+    ):
+        """No worker ever reports ready, and the scan has a deadline
+        but no per-pair timeout: the in-flight pairs are still killed
+        at the deadline plus ``wall_grace`` (5 s) and classified
+        UNKNOWN (deadline), the queued ones at the deadline."""
+        exe = masking_execution(3)
+        exe_path = tmp_path / "exe.json"
+        serialize.save(exe, str(exe_path))
+        out = tmp_path / "report.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "races", str(exe_path),
+             "--feasible", "--jobs", "2", "--timeout", "2",
+             "--failpoints", "pool.worker.start=hang", "--save", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            start_new_session=True,
+        )
+        started = time.monotonic()
+        try:
+            proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            raise AssertionError("the scan hung past its deadline")
+        finally:
+            _killpg_quietly(proc, signal.SIGKILL)  # never leak a hung scan
+        elapsed = time.monotonic() - started
+        assert proc.returncode == 3
+        assert elapsed < 2 + 5 + 15  # timeout + wall_grace + slack
+        report = serialize.load_report(str(out))
+        assert len(report.classifications) == len(exe.conflicting_pairs())
+        assert all(
+            c.status == UNKNOWN and c.resource == "deadline"
+            for c in report.classifications
+        )
+
+
+class TestRaceWitnessesReplay:
+    """A race witness replays on the execution minus the pair's own
+    dependences -- however the race reached the caller."""
+
+    @staticmethod
+    def _replays(report):
+        assert report.races
+        for race in report.races:
+            race.witness.validate()
+            assert race.witness.concurrent(race.a, race.b)
+        for c in report.classifications:
+            if c.witness is not None:
+                c.witness.validate()
+
+    def test_parallel_scan_witnesses_replay(self):
+        exe = masking_execution(3)
+        assert exe.dependences  # the pairs' own edges must be dropped
+        self._replays(
+            RaceDetector(exe).feasible_races(runner=SupervisedScanner(jobs=2))
+        )
+
+    def test_resumed_and_reloaded_witnesses_replay(self, tmp_path):
+        from repro.solve import DEFAULT_PLAN
+        from repro.supervise.checkpoint import CheckpointJournal, scan_fingerprint
+
+        exe = masking_execution(3)
+        exe_path = tmp_path / "exe.json"
+        serialize.save(exe, str(exe_path))
+        journal = tmp_path / "scan.jsonl"
+        saved, resumed = tmp_path / "saved.json", tmp_path / "resumed.json"
+        assert cli_main([
+            "races", str(exe_path), "--jobs", "2",
+            "--checkpoint", str(journal), "--save", str(saved),
+        ]) == 0
+        assert cli_main([
+            "races", str(exe_path), "--checkpoint", str(journal),
+            "--resume", "--save", str(resumed),
+        ]) == 0
+        self._replays(serialize.load_report(str(saved)))
+        self._replays(serialize.load_report(str(resumed)))
+        with CheckpointJournal.open(
+            str(journal), scan_fingerprint(exe, plan=DEFAULT_PLAN, por="sleep"),
+            resume=True,
+        ) as j:
+            journaled = j.classifications(exe)
+        assert len(journaled) == len(exe.conflicting_pairs())
+        for c in journaled.values():
+            c.witness.validate()
 
 
 # ----------------------------------------------------------------------
