@@ -22,9 +22,10 @@ tiered solver portfolio.  This package records *where* that time goes:
   rendered as a Prometheus-style text snapshot (``--metrics FILE``);
 * :mod:`repro.obs.progress` -- the live stderr progress line
   (done/feasible/infeasible/unknown, rate, budget-aware ETA);
-* :mod:`repro.obs.server` -- the live ``--serve PORT`` HTTP endpoint
-  (``/status``, ``/metrics``, ``/healthz``) publishing immutable scan
-  snapshots through a lock-free single-writer slot.
+* :mod:`repro.obs.server` -- the one HTTP server of the ``--serve
+  PORT`` scan endpoint and the ``repro serve`` daemon (each supplies
+  only a route table), plus the scan's ``/status`` board publishing
+  immutable snapshots through a lock-free single-writer slot.
 
 Everything defaults off (:data:`~repro.obs.trace.NULL_SINK`, ``profile
 is None``, no board) behind guards call sites check before building a
@@ -37,11 +38,12 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     planner_metrics,
+    render_status,
     scan_metrics,
 )
 from repro.obs.profile import SearchProfile, merge_profiles
 from repro.obs.progress import ScanProgress
-from repro.obs.server import ObsServer, StatusBoard, render_status_metrics
+from repro.obs.server import HttpServer, ObsServer, StatusBoard
 from repro.obs.trace import (
     NULL_SINK,
     SERVE_PHASE_KINDS,
@@ -67,13 +69,14 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "planner_metrics",
+    "render_status",
     "scan_metrics",
     "SearchProfile",
     "merge_profiles",
     "ScanProgress",
+    "HttpServer",
     "ObsServer",
     "StatusBoard",
-    "render_status_metrics",
     "NULL_SINK",
     "SERVE_PHASE_KINDS",
     "SUPPORTED_TRACE_VERSIONS",

@@ -14,7 +14,7 @@ to thread instrument handles around.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.util.fileio import atomic_write_text
 
@@ -228,6 +228,51 @@ def planner_metrics(registry: MetricsRegistry, planner) -> MetricsRegistry:
     return registry
 
 
+#: one row of a surface's ``/metrics`` table (see :func:`render_status`):
+#: ``(kind, name, help, path, labels)``
+StatusMetric = Tuple[str, Optional[str], Optional[str], Any, Any]
+
+
+def _lookup(doc: Any, path: Sequence[str]) -> Any:
+    for key in path:
+        if doc is None:
+            return None
+        doc = doc.get(key)
+    return doc
+
+
+def render_status(
+    doc: Optional[Dict[str, Any]], rows: Sequence[StatusMetric]
+) -> str:
+    """Render a status document as Prometheus text (a ``/metrics`` body).
+
+    A pure function of ``doc``, so handler threads never touch live
+    state.  ``rows`` is one surface's table of ``(kind, name, help,
+    path, labels)``: ``kind`` is ``"counter"``, ``"gauge"`` or
+    ``"planner"`` (a :class:`~repro.solve.planner.PlannerReport`
+    expanded by :func:`planner_metrics`); ``path`` is a tuple of keys
+    into ``doc`` or a callable of ``doc``, and a ``None`` value skips
+    the row; ``labels`` labels the one series, or names the label when
+    the value is a mapping with one series per key.
+    """
+    doc = doc or {}
+    registry = MetricsRegistry()
+    for kind, name, help_text, path, labels in rows:
+        value = path(doc) if callable(path) else _lookup(doc, path)
+        if value is None:
+            continue
+        if kind == "planner":
+            planner_metrics(registry, value)
+            continue
+        metric = registry.counter if kind == "counter" else registry.gauge
+        if isinstance(labels, str):
+            for key, item in sorted(value.items()):
+                metric(name, help_text, {labels: key}).inc(item)
+        else:
+            metric(name, help_text, labels).inc(value)
+    return registry.render()
+
+
 def scan_metrics(
     registry: MetricsRegistry,
     report,
@@ -270,6 +315,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "StatusMetric",
     "planner_metrics",
+    "render_status",
     "scan_metrics",
 ]

@@ -1,23 +1,33 @@
-"""Live HTTP introspection for a running scan (``--serve PORT``).
+"""The one HTTP server, and the live scan endpoint built on it.
+
+Both front ends that answer over HTTP -- a running scan's ``--serve
+PORT`` endpoint and the ``repro serve`` daemon
+(:mod:`repro.serve.app`) -- run on :class:`HttpServer`.  The server
+owns the transport: eager bind, a daemon-threaded accept loop, the
+per-connection client timeout, request-id resolution and echo
+(``X-Repro-Request-Id``), sized replies that ignore vanished clients,
+the bounded JSON body read, silent logging, and one 404 for any
+``(method, path)`` missing from the route table.  A front end supplies
+only that table.
 
 A scan that runs for hours must answer "how far along are you, is
 anything stuck, and where is the states budget going" *while it runs*.
-This module serves that over plain HTTP from a daemon thread:
+Its table (:func:`scan_routes`, served by :class:`ObsServer`):
 
 * ``GET /healthz`` -- **liveness**, always ``200 ok`` while the process
   serves at all (a supervisor should restart on failure to answer, not
   on the answer's content);
-* ``GET /readyz``  -- **readiness**, ``200 ready`` only while the scan
-  is actually able to do useful work; ``503`` while starting up and
+* ``GET /readyz``  -- **readiness**, ``200 ready`` only while the board
+  is in a :data:`READY_STATES` state; ``503`` while starting up and
   while draining, so a load balancer or orchestrator stops routing to
   an instance that is shutting down *before* its socket closes;
 * ``GET /status``  -- one JSON document: scan fingerprint, pair counts
   by outcome, the per-tier planner table, per-worker liveness (current
   pair, results, crashes), budget remaining, observed pair rate + ETA,
   and the merged search profile when profiling is on;
-* ``GET /metrics`` -- the same snapshot rendered live through the
-  existing :class:`~repro.obs.metrics.MetricsRegistry` Prometheus text
-  format (scrapeable in place of the ``--metrics`` file snapshots).
+* ``GET /metrics`` -- the same snapshot rendered live by
+  :func:`~repro.obs.metrics.render_status` over :data:`SCAN_METRICS`
+  (scrapeable in place of the ``--metrics`` file snapshots).
 
 Concurrency model -- a lock-free single-writer slot: every mutator of
 :class:`StatusBoard` runs on the scan thread, which periodically
@@ -38,12 +48,14 @@ SIGINT and ``--timeout`` expiry alike (the surrounding ``finally``).
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, planner_metrics
+from repro.obs.metrics import StatusMetric, render_status
 from repro.obs.profile import SearchProfile
 from repro.solve.planner import PlannerReport
 
@@ -290,75 +302,132 @@ def status_document(
     return doc
 
 
-def render_status_metrics(snapshot: Optional[Dict[str, Any]]) -> str:
-    """Render a /status snapshot as Prometheus text (the /metrics body).
+def _planner(doc: Dict[str, Any]) -> Optional[PlannerReport]:
+    planner = doc.get("planner")
+    return PlannerReport.from_snapshot(planner) if planner else None
 
-    A pure function of the snapshot, so handler threads never touch
-    mutable scan state.  Shares instrument names with the ``--metrics``
-    file snapshots wherever the quantity is the same.
-    """
-    registry = MetricsRegistry()
-    registry.gauge("repro_scan_up", "1 while the scan process serves").set(1)
-    if snapshot is None:
-        return registry.render()
-    pairs = snapshot.get("pairs") or {}
-    registry.gauge(
-        "repro_scan_pairs_total", "Conflicting pairs in the scan"
-    ).set(pairs.get("total", 0))
-    registry.gauge(
-        "repro_scan_pairs_done", "Pairs classified so far"
-    ).set(pairs.get("done", 0))
-    for status in ("feasible", "infeasible", "unknown"):
-        registry.counter(
-            "repro_pairs_classified_total",
-            "Conflicting pairs classified, by outcome",
-            labels={"status": status},
-        ).inc(pairs.get(status, 0))
-    planner = snapshot.get("planner")
-    if planner:
-        planner_metrics(registry, PlannerReport.from_snapshot(planner))
-    registry.gauge(
-        "repro_scan_elapsed_seconds", "Wall-clock duration of the scan"
-    ).set(snapshot.get("elapsed_seconds") or 0.0)
-    rate = snapshot.get("rate_pairs_per_second")
-    if rate is not None:
-        registry.gauge(
-            "repro_scan_pairs_per_second", "Observed classification rate"
-        ).set(rate)
-    eta = snapshot.get("eta_seconds")
-    if eta is not None:
-        registry.gauge(
-            "repro_scan_eta_seconds", "Projected seconds to drain the scan"
-        ).set(eta)
-    registry.counter(
-        "repro_worker_spawns_total", "Supervised workers started"
-    ).inc(snapshot.get("worker_spawns", 0))
-    registry.counter(
-        "repro_worker_crashes_total", "Supervised workers that died"
-    ).inc(snapshot.get("worker_crashes", 0))
-    registry.counter(
-        "repro_checkpoint_writes_total", "Pair records journaled durably"
-    ).inc(snapshot.get("checkpoint_writes", 0))
-    profile = snapshot.get("profile")
-    if profile:
-        prof = SearchProfile.from_snapshot(profile)
-        registry.counter(
-            "repro_profile_states_total",
-            "Engine states attributed by the search profiler",
-        ).inc(prof.total_states)
-    return registry.render()
+
+def _profile_states(doc: Dict[str, Any]) -> Optional[int]:
+    profile = doc.get("profile")
+    if not profile:
+        return None
+    return SearchProfile.from_snapshot(profile).total_states
+
+
+#: the scan's ``/metrics`` table over a ``/status`` snapshot (see
+#: :func:`~repro.obs.metrics.render_status`); instrument names are
+#: shared with the ``--metrics`` file snapshots wherever the quantity
+#: is the same
+SCAN_METRICS: Tuple[StatusMetric, ...] = (
+    ("gauge", "repro_scan_up", "1 while the scan process serves",
+     lambda doc: 1, None),
+    ("gauge", "repro_scan_pairs_total", "Conflicting pairs in the scan",
+     ("pairs", "total"), None),
+    ("gauge", "repro_scan_pairs_done", "Pairs classified so far",
+     ("pairs", "done"), None),
+    ("counter", "repro_pairs_classified_total",
+     "Conflicting pairs classified, by outcome",
+     ("pairs", "feasible"), {"status": "feasible"}),
+    ("counter", "repro_pairs_classified_total",
+     "Conflicting pairs classified, by outcome",
+     ("pairs", "infeasible"), {"status": "infeasible"}),
+    ("counter", "repro_pairs_classified_total",
+     "Conflicting pairs classified, by outcome",
+     ("pairs", "unknown"), {"status": "unknown"}),
+    ("planner", None, None, _planner, None),
+    ("gauge", "repro_scan_elapsed_seconds", "Wall-clock duration of the scan",
+     ("elapsed_seconds",), None),
+    ("gauge", "repro_scan_pairs_per_second", "Observed classification rate",
+     ("rate_pairs_per_second",), None),
+    ("gauge", "repro_scan_eta_seconds", "Projected seconds to drain the scan",
+     ("eta_seconds",), None),
+    ("counter", "repro_worker_spawns_total", "Supervised workers started",
+     ("worker_spawns",), None),
+    ("counter", "repro_worker_crashes_total", "Supervised workers that died",
+     ("worker_crashes",), None),
+    ("counter", "repro_checkpoint_writes_total",
+     "Pair records journaled durably", ("checkpoint_writes",), None),
+    ("counter", "repro_profile_states_total",
+     "Engine states attributed by the search profiler", _profile_states, None),
+)
 
 
 # ----------------------------------------------------------------------
-class QuietHandler(BaseHTTPRequestHandler):
-    """Shared handler plumbing for the observability endpoints (and the
-    ``repro serve`` daemon): sized replies that tolerate impatient
-    clients, optional extra headers (``Retry-After``), silent access
-    logging."""
+#: how long one connection may stall (send nothing, trickle its body,
+#: stop reading the reply): it holds one handler thread for at most
+#: this long, never a worker, the scan or the accept loop
+CLIENT_TIMEOUT = 10.0
 
-    server_version = "repro-obs"
+#: largest accepted request body (a trace document), in bytes
+MAX_BODY_BYTES = 64 << 20
 
-    def _reply(
+#: an acceptable client-supplied ``X-Repro-Request-Id`` -- anything
+#: else (too long, control characters, header-injection attempts) is
+#: replaced with a generated id, never rejected
+_REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+
+PROMETHEUS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
+
+
+class HttpError(Exception):
+    """Answered with :attr:`status`, :attr:`headers` and the message as
+    the JSON ``"error"``."""
+
+    status = 500
+    headers: Optional[Dict[str, str]] = None
+
+
+class BadRequest(HttpError):
+    """Client error; the message is served verbatim in the 400 body."""
+
+    status = 400
+
+
+class ClientGone(BadRequest):
+    """The client stalled past the timeout or hung up mid-body."""
+
+
+class TooLarge(HttpError):
+    """Request body over :data:`MAX_BODY_BYTES`."""
+
+    # 413, not 400: the request was well-formed, just too big -- clients
+    # and proxies treat the codes differently (a 413 is retryable after
+    # shrinking, a 400 is a bug).  The unread body is still on the
+    # socket, so close the connection rather than parse it as a next
+    # request.
+    status = 413
+    headers = {"Connection": "close"}
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One request: routes answer through :meth:`reply` and
+    :meth:`reply_json`, and read a body with :meth:`read_json`."""
+
+    server_version = "repro"
+
+    def setup(self) -> None:
+        # must happen before the stdlib applies ``self.timeout`` to the
+        # connection socket
+        self.timeout = self.server.app.client_timeout
+        super().setup()
+
+    def _dispatch(self) -> None:
+        # honor a well-formed client id (lets callers correlate their
+        # retries and logs with server traces), mint one otherwise
+        claimed = self.headers.get("X-Repro-Request-Id") or ""
+        self.rid = (
+            claimed if _REQUEST_ID_RE.match(claimed) else uuid.uuid4().hex[:16]
+        )
+        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        route = self.server.app.routes.get((self.command, path))
+        if route is None:
+            self.reply(404, "not found\n")
+        else:
+            route(self)
+
+    do_GET = do_POST = _dispatch  # the stdlib handler API
+
+    def reply(
         self,
         code: int,
         body: str,
@@ -370,6 +439,8 @@ class QuietHandler(BaseHTTPRequestHandler):
             self.send_response(code)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(data)))
+            # the request-id echo: on every response, errors included
+            self.send_header("X-Repro-Request-Id", self.rid)
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
             self.end_headers()
@@ -377,61 +448,58 @@ class QuietHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass  # impatient client; the scan/daemon must not care
 
-    def _reply_json(
-        self,
-        code: int,
-        doc: Any,
-        headers: Optional[Dict[str, str]] = None,
+    def reply_json(
+        self, code: int, doc: Any, headers: Optional[Dict[str, str]] = None
     ) -> None:
         body = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        self._reply(code, body, "application/json", headers)
+        self.reply(code, body, "application/json", headers)
+
+    def read_json(self) -> Dict[str, Any]:
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise BadRequest("bad Content-Length")
+        if length <= 0:
+            raise BadRequest("missing request body")
+        if length > MAX_BODY_BYTES:
+            raise TooLarge(
+                f"request body is {length} bytes; this server accepts "
+                f"at most {MAX_BODY_BYTES}"
+            )
+        try:
+            data = self.rfile.read(length)
+        except OSError:  # slow client hit the socket timeout
+            raise ClientGone("request body not received in time")
+        if len(data) < length:
+            raise ClientGone("client disconnected mid-request")
+        try:
+            doc = json.loads(data)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BadRequest(f"request body is not JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise BadRequest("request body must be a JSON object")
+        return doc
 
     def log_message(self, fmt: str, *args: Any) -> None:
         pass  # requests are routine; stderr belongs to the progress line
 
 
-class _Handler(QuietHandler):
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            # liveness only: the process is up and serving.  Readiness
-            # lives at /readyz -- conflating them makes an orchestrator
-            # kill an instance that is merely draining.
-            self._reply(200, "ok\n")
-        elif path == "/readyz":
-            if self.server.ready_fn():
-                self._reply(200, "ready\n")
-            else:
-                self._reply(503, "not ready (starting or draining)\n")
-        elif path == "/status":
-            self._reply_json(200, status_document(self.server.board.latest()))
-        elif path == "/metrics":
-            body = render_status_metrics(self.server.board.latest())
-            self._reply(200, body, "text/plain; version=0.0.4; charset=utf-8")
-        else:
-            self._reply(
-                404, "not found (try /status, /metrics, /healthz, /readyz)\n"
-            )
-
-
-def _board_ready(board: StatusBoard) -> bool:
-    """Default readiness: the board's current state is a serving one."""
-    snapshot = board.latest()
-    return snapshot is not None and snapshot.get("state") in READY_STATES
+#: ``(method, path) -> route``; a route is called with the request
+Routes = Dict[Tuple[str, str], Callable[[_Handler], None]]
 
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True  # handler threads never block interpreter exit
-    board: StatusBoard
-    ready_fn: Callable[[], bool]
+    app: "HttpServer"
 
 
-class ObsServer:
-    """The ``--serve`` endpoint: a daemon-threaded stdlib HTTP server.
+class HttpServer:
+    """The one HTTP server: a route table on a daemon-threaded stdlib
+    server (HTTP/1.0, one request per connection).
 
     Binds eagerly -- construction raises :class:`OSError` immediately
-    when the port is taken, so the CLI can fail loudly *before* the
-    scan starts.  ``port=0`` binds an ephemeral port (tests); the bound
+    when the port is taken, so the caller can fail loudly *before* it
+    starts work.  ``port=0`` binds an ephemeral port (tests); the bound
     port is in :attr:`port`.  :meth:`close` is idempotent and safe from
     ``finally`` blocks: it stops the accept loop, closes the socket and
     joins the thread.
@@ -439,28 +507,22 @@ class ObsServer:
 
     def __init__(
         self,
-        board: StatusBoard,
+        routes: Routes,
         port: int,
         *,
         host: str = "127.0.0.1",
-        ready: Optional[Callable[[], bool]] = None,
+        client_timeout: float = CLIENT_TIMEOUT,
     ) -> None:
-        self.board = board
+        self.routes = routes
+        self.client_timeout = client_timeout
         self._httpd = _Server((host, port), _Handler)
-        self._httpd.board = board
-        # /readyz policy: the caller's callable when given (the daemon
-        # knows its own lifecycle), else the board's state
-        self._httpd.ready_fn = (
-            ready if ready is not None else (lambda: _board_ready(board))
-        )
+        self._httpd.app = self
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None
 
-    def start(self) -> "ObsServer":
+    def start(self) -> "HttpServer":
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-obs-server",
-            daemon=True,
+            target=self._httpd.serve_forever, name="repro-http", daemon=True
         )
         self._thread.start()
         return self
@@ -475,19 +537,54 @@ class ObsServer:
             self._thread = None
         self._httpd.server_close()
 
-    def __enter__(self) -> "ObsServer":
+    def __enter__(self) -> "HttpServer":
         return self.start()
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
 
+def scan_routes(board: StatusBoard) -> Routes:
+    """The ``--serve`` route table over ``board``'s snapshots."""
+
+    def readyz(req: _Handler) -> None:
+        snapshot = board.latest()
+        if snapshot is not None and snapshot.get("state") in READY_STATES:
+            req.reply(200, "ready\n")
+        else:
+            req.reply(503, "not ready (starting or draining)\n")
+
+    return {
+        # liveness only: the process is up and serving.  Readiness
+        # lives at /readyz -- conflating them makes an orchestrator
+        # kill an instance that is merely draining.
+        ("GET", "/healthz"): lambda req: req.reply(200, "ok\n"),
+        ("GET", "/readyz"): readyz,
+        ("GET", "/status"): lambda req: req.reply_json(
+            200, status_document(board.latest())
+        ),
+        ("GET", "/metrics"): lambda req: req.reply(
+            200, render_status(board.latest(), SCAN_METRICS), PROMETHEUS_TEXT
+        ),
+    }
+
+
+class ObsServer(HttpServer):
+    """The ``--serve`` endpoint: the one server over :func:`scan_routes`."""
+
+    def __init__(
+        self, board: StatusBoard, port: int, *, host: str = "127.0.0.1"
+    ) -> None:
+        super().__init__(scan_routes(board), port, host=host)
+
+
 __all__ = [
     "STATUS_VERSION",
     "READY_STATES",
+    "SCAN_METRICS",
     "StatusBoard",
+    "HttpServer",
     "ObsServer",
-    "QuietHandler",
-    "render_status_metrics",
+    "scan_routes",
     "status_document",
 ]

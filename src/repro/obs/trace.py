@@ -445,22 +445,7 @@ class TraceSummary:
         for rec in records:
             kind = rec["kind"]
             if kind == "query":
-                self.planner.queries += 1
-                if not rec["decided"]:
-                    self.planner.unknown += 1
-                for entry in rec["tiers"]:
-                    if entry["answered"]:
-                        self.planner.record_answer(
-                            entry["tier"],
-                            states=entry["states"],
-                            elapsed=entry["elapsed"],
-                        )
-                    else:
-                        self.planner.record_cost(
-                            entry["tier"],
-                            states=entry["states"],
-                            elapsed=entry["elapsed"],
-                        )
+                self.planner.fold_query(rec)
             elif kind == "pair":
                 status = rec["status"]
                 self.pairs[status] = self.pairs.get(status, 0) + 1
@@ -574,22 +559,7 @@ class ServeTraceSummary:
                 tally[0] += 1
                 tally[1] += rec["elapsed"]
             elif kind == "query":
-                self.planner.queries += 1
-                if not rec["decided"]:
-                    self.planner.unknown += 1
-                for entry in rec["tiers"]:
-                    if entry["answered"]:
-                        self.planner.record_answer(
-                            entry["tier"],
-                            states=entry["states"],
-                            elapsed=entry["elapsed"],
-                        )
-                    else:
-                        self.planner.record_cost(
-                            entry["tier"],
-                            states=entry["states"],
-                            elapsed=entry["elapsed"],
-                        )
+                self.planner.fold_query(rec)
             elif kind == "trace.drops":
                 self.dropped += rec["dropped"]
         #: the N slowest requests, slowest first

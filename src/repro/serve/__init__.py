@@ -11,8 +11,9 @@ can take it down or make it lie*:
 * :mod:`repro.serve.admission` -- the bounded admission queue: beyond
   capacity clients get a structured 429 with ``Retry-After``, never an
   unbounded queue;
-* :mod:`repro.serve.app` -- the HTTP surface and lifecycle (readiness
-  vs liveness, clean drain on SIGTERM/SIGINT), on top of the
+* :mod:`repro.serve.app` -- the daemon's route table on the one HTTP
+  server (:class:`~repro.obs.server.HttpServer`) and its lifecycle
+  (readiness vs liveness, clean drain on SIGTERM/SIGINT), on top of the
   crash-isolated :class:`~repro.supervise.pool.QueryWorkerPool`.
 """
 

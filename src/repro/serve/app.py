@@ -1,6 +1,9 @@
 """The ``repro serve`` HTTP daemon (lifecycle + request handling).
 
-Wiring: HTTP handler threads (stdlib ``ThreadingHTTPServer``) pass
+Wiring: the daemon supplies a route table to the one HTTP server
+(:class:`~repro.obs.server.HttpServer`, shared with a scan's
+``--serve`` endpoint, which owns binding, the client timeout, the
+request-id echo and the bounded body read).  Handler threads pass
 through the :class:`~repro.serve.admission.AdmissionQueue`, resolve the
 execution against the persistent
 :class:`~repro.serve.store.WitnessStore`, clamp the requested budget
@@ -15,11 +18,13 @@ running at all.
 Endpoints::
 
     GET  /healthz         liveness: 200 while the process serves at all
-    GET  /readyz          readiness: 200 only in the "serving" state;
-                          503 while starting and while draining
+    GET  /readyz          readiness: 200 while serving (body "degraded
+                          (read-only)" while degraded); 503 while
+                          starting, draining and stopped
     GET  /status          JSON: state, uptime, admission/pool/store stats
-    GET  /metrics         the same, as Prometheus text (plus the
-                          per-endpoint x kind x phase latency histograms)
+    GET  /metrics         the same, as Prometheus text through
+                          :data:`SERVE_METRICS` (plus the per-endpoint
+                          x kind x phase latency histograms)
     GET  /executions      stored execution fingerprints
     POST /executions      store an execution document -> fingerprint
     POST /query           evaluate one relation query (see QueryDaemon)
@@ -72,23 +77,28 @@ listener.  A second signal skips the grace and tears down immediately.
 
 from __future__ import annotations
 
-import json
 import logging
-import re
 import threading
 import time
-import uuid
 from collections import deque
 from contextlib import contextmanager
-from http.server import ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro.budget import clamp_request
 from repro.memmodel import resolve_memory_model
 from repro.model import serialize
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.server import QuietHandler
+from repro.obs.metrics import MetricsRegistry, StatusMetric, render_status
+from repro.obs.server import (
+    CLIENT_TIMEOUT,
+    MAX_BODY_BYTES,
+    PROMETHEUS_TEXT,
+    BadRequest,
+    ClientGone,
+    HttpError,
+    HttpServer,
+    Routes,
+)
 from repro.obs.trace import NULL_SINK, FailsafeSink, TraceSink
 from repro.serve.admission import AdmissionQueue, Draining, Overloaded
 from repro.serve.store import WitnessStore
@@ -101,18 +111,6 @@ log = logging.getLogger("repro.serve")
 
 #: relations that need both event ids (everything except feasibility)
 _PAIR_RELATIONS = QUERY_RELATIONS - {"feasible"}
-
-#: largest accepted request body (a trace document), in bytes
-MAX_BODY_BYTES = 64 << 20
-
-#: an acceptable client-supplied ``X-Repro-Request-Id`` -- anything
-#: else (too long, control characters, header-injection attempts) is
-#: replaced with a generated id, never rejected
-_REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
-
-
-class _BadRequest(Exception):
-    """Client error; message is served verbatim in the 400 body."""
 
 
 def _require_model_match(doc: Dict[str, Any], memory_model: str) -> None:
@@ -130,20 +128,18 @@ def _require_model_match(doc: Dict[str, Any], memory_model: str) -> None:
     try:
         model = resolve_memory_model(str(requested))
     except ValueError as exc:
-        raise _BadRequest(str(exc))
+        raise BadRequest(str(exc))
     if model.name != memory_model:
-        raise _BadRequest(
+        raise BadRequest(
             f"memory model mismatch: request says {model.name!r} but the "
             f"execution was recorded under {memory_model!r}"
         )
 
 
-class _TooLarge(Exception):
-    """Request body over :data:`MAX_BODY_BYTES`; served as 413."""
-
-
-class _ReadOnly(Exception):
+class _ReadOnly(HttpError):
     """A write reached a degraded (read-only) daemon; served as 507."""
+
+    status = 507
 
 
 class _RequestObs:
@@ -179,169 +175,9 @@ class _RequestObs:
                 tally[1] += time.monotonic() - t0
 
 
-class _Handler(QuietHandler):
-    server_version = "repro-serve"
-    #: socket timeout: a client that trickles its request (or stops
-    #: reading the response) stalls one handler thread for at most this
-    #: long, never a worker or the accept loop; per-daemon value set in
-    #: :meth:`setup` from ``--client-timeout``
-    timeout = 10.0
-
-    def setup(self) -> None:
-        # must happen before the stdlib applies ``self.timeout`` to the
-        # connection socket
-        self.timeout = self.server.app.client_timeout
-        super().setup()
-
-    def _reply(
-        self,
-        code: int,
-        body: str,
-        content_type: str = "text/plain; charset=utf-8",
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        # the request-id echo: on every response, errors included
-        rid = getattr(self, "_rid", None)
-        if rid is not None:
-            headers = dict(headers or {})
-            headers.setdefault("X-Repro-Request-Id", rid)
-        super()._reply(code, body, content_type, headers)
-
-    def _begin(self) -> str:
-        """Resolve this request's id: honor a well-formed client
-        ``X-Repro-Request-Id`` (lets callers correlate their retries
-        and logs with daemon traces), mint one otherwise."""
-        claimed = self.headers.get("X-Repro-Request-Id") or ""
-        self._rid = (
-            claimed
-            if _REQUEST_ID_RE.match(claimed)
-            else uuid.uuid4().hex[:16]
-        )
-        return self._rid
-
-    # -- GET -----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
-        daemon: "QueryDaemon" = self.server.app
-        rid = self._begin()
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            self._reply(200, "ok\n")
-        elif path == "/readyz":
-            if daemon.state == "serving":
-                self._reply(200, "ready\n")
-            elif daemon.state == "degraded":
-                # a read-only replica is still routable for queries;
-                # the body says writes will bounce with 507
-                self._reply(200, "degraded (read-only)\n")
-            else:
-                self._reply(503, f"not ready ({daemon.state})\n")
-        elif path == "/status":
-            self._reply_json(200, daemon.status())
-        elif path == "/metrics":
-            self._reply(
-                200,
-                daemon.render_metrics(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif path == "/debug/requests":
-            self._reply_json(200, daemon.debug_requests())
-        elif path == "/debug/slow":
-            self._reply_json(200, daemon.debug_slow())
-        elif path == "/executions":
-            obs = daemon.begin_request("GET /executions", rid)
-            with obs.phase("store.read"):
-                doc: Dict[str, Any] = {
-                    "executions": daemon.store.fingerprints(),
-                    "store": daemon.store.stats(),
-                }
-            doc["request_id"] = rid
-            with obs.phase("response"):
-                self._reply_json(200, doc)
-            daemon.finish_request(obs, 200)
-        else:
-            self._reply(404, "not found\n")
-
-    # -- POST ----------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 (stdlib handler API)
-        daemon: "QueryDaemon" = self.server.app
-        rid = self._begin()
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path not in ("/executions", "/query"):
-            self._reply(404, "not found\n")
-            return
-        obs = daemon.begin_request(f"POST {path}", rid)
-        headers: Optional[Dict[str, str]] = None
-        close = False
-        try:
-            doc = self._read_json()
-            if path == "/executions":
-                code, body = 200, daemon.handle_put_execution(doc, obs=obs)
-            else:
-                code, body, headers = daemon.handle_query(doc, obs=obs)
-        except _BadRequest as exc:
-            code, body = 400, {"error": str(exc)}
-        except _TooLarge as exc:
-            # 413, not 400: the request was well-formed, just too big --
-            # clients and proxies treat the codes differently (a 413 is
-            # retryable after shrinking, a 400 is a bug).  The unread
-            # body is still on the socket, so close the connection
-            # rather than try to parse it as a next request.
-            code, body = 413, {"error": str(exc)}
-            headers = {"Connection": "close"}
-            close = True
-        except _ReadOnly as exc:
-            code, body = 507, {"error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - the daemon must survive
-            daemon.count_error()
-            code, body = 500, {"error": f"internal error: {exc!r}"}
-        body["request_id"] = rid
-        with obs.phase("response"):
-            self._reply_json(code, body, headers)
-        if close:
-            self.close_connection = True
-        daemon.finish_request(obs, code)
-
-    def _read_json(self) -> Dict[str, Any]:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise _BadRequest("bad Content-Length")
-        if length <= 0:
-            raise _BadRequest("missing request body")
-        if length > MAX_BODY_BYTES:
-            raise _TooLarge(
-                f"request body is {length} bytes; this server accepts "
-                f"at most {MAX_BODY_BYTES}"
-            )
-        try:
-            data = self.rfile.read(length)
-        except OSError:  # slow client hit the socket timeout
-            self.server.app.count_disconnect(
-                getattr(self, "_rid", "-"),
-                "request body not received in time",
-            )
-            raise _BadRequest("request body not received in time")
-        if len(data) < length:
-            self.server.app.count_disconnect(
-                getattr(self, "_rid", "-"), "client disconnected mid-request"
-            )
-            raise _BadRequest("client disconnected mid-request")
-        try:
-            doc = json.loads(data)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _BadRequest(f"request body is not JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise _BadRequest("request body must be a JSON object")
-        return doc
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    app: "QueryDaemon"
-
-
-class QueryDaemon:
-    """A long-lived query-answering service over one witness store.
+class QueryDaemon(HttpServer):
+    """A long-lived query-answering service over one witness store: the
+    one HTTP server with the daemon's route table.
 
     A ``POST /query`` body names an execution (``"fingerprint"`` of a
     stored one, or an inline ``"execution"`` document, which is stored
@@ -374,7 +210,7 @@ class QueryDaemon:
         retry_after_cap: float = 300.0,
         tracer: Optional[TraceSink] = None,
         slow_threshold: float = 1.0,
-        client_timeout: float = 10.0,
+        client_timeout: float = CLIENT_TIMEOUT,
         recent_capacity: int = 256,
         slow_capacity: int = 64,
     ) -> None:
@@ -388,7 +224,6 @@ class QueryDaemon:
         self.degraded_after = degraded_after
         self.probe_interval = probe_interval
         self.slow_threshold = slow_threshold
-        self.client_timeout = client_timeout
         self.state = "starting"
         self._t0 = time.monotonic()
         self._state_lock = threading.Lock()
@@ -409,7 +244,7 @@ class QueryDaemon:
         self.tracer = tracer
         self._traced = bool(tracer.enabled)
         #: persistent request-latency histograms (endpoint x kind x
-        #: phase); counters stay status-derived in render_metrics()
+        #: phase); counters stay status-derived (SERVE_METRICS)
         self.metrics = MetricsRegistry()
         self._http: Dict[str, int] = {}  # endpoint -> completed requests
         self._recent: deque = deque(maxlen=max(1, recent_capacity))
@@ -428,25 +263,18 @@ class QueryDaemon:
         # bind eagerly: a taken port must fail *now*, before the CLI
         # reports the daemon as up
         try:
-            self._httpd = _Server((host, port), _Handler)
+            super().__init__(
+                self._routes(), port, host=host, client_timeout=client_timeout
+            )
         except OSError:
             self.pool.close(drain=False)
             raise
-        self._httpd.app = self
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "QueryDaemon":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve", daemon=True
-        )
-        self._thread.start()
+        super().start()
         self.state = "serving"
         return self
-
-    def url(self, path: str = "/status") -> str:
-        return f"http://{self.host}:{self.port}{path}"
 
     def drain(self, *, grace: Optional[float] = None) -> None:
         """Finish in-flight work, refuse new, make everything durable."""
@@ -469,11 +297,7 @@ class QueryDaemon:
             self.admission.begin_drain()
             self.pool.close(drain=False, timeout=1.0)
             self.store.flush()
-        if self._thread is not None:
-            self._httpd.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._httpd.server_close()
+        super().close()
         if self._traced:
             # flush the sink once (writes the trace.drops accounting
             # record); late stragglers after this are not recorded
@@ -481,11 +305,77 @@ class QueryDaemon:
             self.tracer.close()
         self.state = "stopped"
 
-    def __enter__(self) -> "QueryDaemon":
-        return self.start()
+    # -- HTTP routes (handler threads) -----------------------------------
+    def _routes(self) -> Routes:
+        return {
+            ("GET", "/healthz"): lambda req: req.reply(200, "ok\n"),
+            ("GET", "/readyz"): self._readyz,
+            ("GET", "/status"): lambda req: req.reply_json(200, self.status()),
+            ("GET", "/metrics"): self._metrics,
+            ("GET", "/debug/requests"): lambda req: req.reply_json(
+                200, self.debug_requests()
+            ),
+            ("GET", "/debug/slow"): lambda req: req.reply_json(
+                200, self.debug_slow()
+            ),
+            ("GET", "/executions"): self._list_executions,
+            ("POST", "/executions"): lambda req: self._post(
+                req, "POST /executions"
+            ),
+            ("POST", "/query"): lambda req: self._post(req, "POST /query"),
+        }
 
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+    def _readyz(self, req) -> None:
+        state = self.state
+        if state == "serving":
+            req.reply(200, "ready\n")
+        elif state == "degraded":
+            # a read-only replica is still routable for queries; the
+            # body says writes will bounce with 507
+            req.reply(200, "degraded (read-only)\n")
+        else:
+            req.reply(503, f"not ready ({state})\n")
+
+    def _metrics(self, req) -> None:
+        text = render_status(self.status(), SERVE_METRICS)
+        # the persistent per-endpoint x kind x phase latency histograms
+        # append after the status-derived snapshot
+        with self._state_lock:
+            text += self.metrics.render()
+        req.reply(200, text, PROMETHEUS_TEXT)
+
+    def _list_executions(self, req) -> None:
+        obs = self.begin_request("GET /executions", req.rid)
+        with obs.phase("store.read"):
+            doc: Dict[str, Any] = {
+                "executions": self.store.fingerprints(),
+                "store": self.store.stats(),
+            }
+        doc["request_id"] = req.rid
+        with obs.phase("response"):
+            req.reply_json(200, doc)
+        self.finish_request(obs, 200)
+
+    def _post(self, req, endpoint: str) -> None:
+        obs = self.begin_request(endpoint, req.rid)
+        headers: Optional[Dict[str, str]] = None
+        try:
+            doc = req.read_json()
+            if endpoint == "POST /executions":
+                code, body = 200, self.handle_put_execution(doc, obs=obs)
+            else:
+                code, body, headers = self.handle_query(doc, obs=obs)
+        except HttpError as exc:
+            if isinstance(exc, ClientGone):
+                self.count_disconnect(req.rid, str(exc))
+            code, body, headers = exc.status, {"error": str(exc)}, exc.headers
+        except Exception as exc:  # noqa: BLE001 - the daemon must survive
+            self.count_error()
+            code, body = 500, {"error": f"internal error: {exc!r}"}
+        body["request_id"] = req.rid
+        with obs.phase("response"):
+            req.reply_json(code, body, headers)
+        self.finish_request(obs, code)
 
     # -- degraded read-only mode -----------------------------------------
     def _note_storage_failure(self) -> None:
@@ -678,7 +568,7 @@ class QueryDaemon:
         try:
             exe = serialize.execution_from_dict(exe_doc)
         except (ValueError, KeyError, TypeError) as exc:
-            raise _BadRequest(f"bad execution document: {exc}")
+            raise BadRequest(f"bad execution document: {exc}")
         _require_model_match(doc, exe.memory_model)
         with obs.phase("store.write"):
             try:
@@ -732,7 +622,7 @@ class QueryDaemon:
         if fp is None:
             exe_doc = doc.get("execution")
             if exe_doc is None:
-                raise _BadRequest(
+                raise BadRequest(
                     "name an execution: 'fingerprint' of a stored one, or "
                     "an inline 'execution' document"
                 )
@@ -748,7 +638,7 @@ class QueryDaemon:
             try:
                 exe = serialize.execution_from_dict(exe_doc)
             except (ValueError, KeyError, TypeError) as exc:
-                raise _BadRequest(f"bad execution document: {exc}")
+                raise BadRequest(f"bad execution document: {exc}")
             with obs.phase("store.write"):
                 try:
                     fp = self.store.put_execution(exe)
@@ -765,7 +655,7 @@ class QueryDaemon:
         # -- validate the relation ------------------------------------
         relation = str(doc.get("relation", "race")).lower()
         if relation not in QUERY_RELATIONS:
-            raise _BadRequest(
+            raise BadRequest(
                 f"unknown relation {relation!r} "
                 f"(one of {', '.join(sorted(QUERY_RELATIONS))})"
             )
@@ -775,11 +665,11 @@ class QueryDaemon:
             try:
                 a, b = int(doc["a"]), int(doc["b"])
             except (KeyError, TypeError, ValueError):
-                raise _BadRequest(
+                raise BadRequest(
                     f"relation {relation!r} needs integer event ids 'a' and 'b'"
                 )
             if not (0 <= a < stored.events and 0 <= b < stored.events):
-                raise _BadRequest(
+                raise BadRequest(
                     f"event ids must be within this execution's "
                     f"0..{stored.events - 1}"
                 )
@@ -790,7 +680,7 @@ class QueryDaemon:
             req_states = None if req_states is None else int(req_states)
             req_timeout = None if req_timeout is None else float(req_timeout)
         except (TypeError, ValueError):
-            raise _BadRequest("'max_states'/'timeout' must be numbers")
+            raise BadRequest("'max_states'/'timeout' must be numbers")
         max_states, timeout = clamp_request(
             req_states,
             req_timeout,
@@ -899,102 +789,67 @@ class QueryDaemon:
             "store": self.store.stats(),
         }
 
-    def render_metrics(self) -> str:
-        doc = self.status()
-        registry = MetricsRegistry()
-        registry.gauge("repro_serve_up", "1 while the daemon serves").set(1)
-        registry.gauge(
-            "repro_serve_ready", "1 while accepting new queries"
-        ).set(1 if doc["state"] == "serving" else 0)
-        registry.gauge(
-            "repro_serve_degraded", "1 while in degraded read-only mode"
-        ).set(1 if doc["state"] == "degraded" else 0)
-        deg = doc["degraded"]
-        registry.counter(
-            "repro_serve_recoveries_total",
-            "Degraded-to-serving recoveries",
-        ).inc(deg["recoveries"])
-        registry.counter(
-            "repro_serve_rejected_read_only_total",
-            "Writes refused with 507 while degraded",
-        ).inc(deg["rejected_read_only"])
-        registry.gauge(
-            "repro_serve_uptime_seconds", "Daemon uptime"
-        ).set(doc["uptime_seconds"])
-        req = doc["requests"]
-        registry.counter(
-            "repro_serve_queries_total", "Queries answered"
-        ).inc(req["queries"])
-        registry.counter(
-            "repro_serve_unknown_total", "Queries answered UNKNOWN"
-        ).inc(req["unknown"])
-        registry.counter(
-            "repro_serve_errors_total", "Requests that failed internally"
-        ).inc(req["errors"])
-        adm = doc["admission"]
-        registry.gauge(
-            "repro_serve_active_requests", "Admitted, not yet released"
-        ).set(adm["active"])
-        registry.counter(
-            "repro_serve_rejected_total",
-            "Requests refused at admission, by reason",
-            labels={"reason": "busy"},
-        ).inc(adm["rejected_busy"])
-        registry.counter(
-            "repro_serve_rejected_total",
-            "Requests refused at admission, by reason",
-            labels={"reason": "draining"},
-        ).inc(adm["rejected_draining"])
-        pool = doc["pool"]
-        registry.counter(
-            "repro_worker_spawns_total", "Query workers started"
-        ).inc(pool["spawns"])
-        registry.counter(
-            "repro_worker_crashes_total", "Query workers that died"
-        ).inc(pool["crashes"])
-        registry.counter(
-            "repro_serve_retries_total", "Query attempts retried"
-        ).inc(pool["retries"])
-        store = doc["store"]
-        registry.gauge(
-            "repro_store_executions", "Executions in the witness store"
-        ).set(store["executions"])
-        registry.gauge(
-            "repro_store_witnesses", "Validated schedules resident"
-        ).set(store["witnesses"])
-        registry.counter(
-            "repro_store_quarantined_total", "Corrupt files quarantined"
-        ).inc(store["quarantined"])
-        registry.counter(
-            "repro_store_flush_failures_total", "Durable flushes that failed"
-        ).inc(store["flush_failures"])
-        registry.counter(
-            "repro_store_evictions_total", "Entries evicted by the LRU cap"
-        ).inc(store["evictions"])
-        registry.counter(
-            "repro_store_compactions_total", "Store compaction passes"
-        ).inc(store["compactions"])
-        for endpoint, count in sorted(doc["http"].items()):
-            registry.counter(
-                "repro_serve_http_requests_total",
-                "Completed requests, by tracked endpoint",
-                labels={"endpoint": endpoint},
-            ).inc(count)
-        obsv = doc["observability"]
-        registry.counter(
-            "repro_serve_client_disconnects_total",
-            "Requests whose client vanished or stalled past "
-            "--client-timeout",
-        ).inc(obsv["client_disconnects"])
-        registry.counter(
-            "repro_serve_trace_dropped_total",
-            "Trace records dropped by the bounded/failing sink",
-        ).inc(obsv["trace_dropped"])
-        # the persistent per-endpoint x kind x phase latency histograms
-        # append after the status-derived snapshot
-        with self._state_lock:
-            histograms = self.metrics.render()
-        return registry.render() + histograms
+
+def _state_is(state: str) -> Callable[[Dict[str, Any]], int]:
+    return lambda doc: int(doc["state"] == state)
 
 
-__all__ = ["QueryDaemon", "MAX_BODY_BYTES"]
+#: the daemon's ``/metrics`` table over :meth:`QueryDaemon.status` (see
+#: :func:`~repro.obs.metrics.render_status`)
+SERVE_METRICS: Tuple[StatusMetric, ...] = (
+    ("gauge", "repro_serve_up", "1 while the daemon serves",
+     lambda doc: 1, None),
+    ("gauge", "repro_serve_ready", "1 while accepting new queries",
+     _state_is("serving"), None),
+    ("gauge", "repro_serve_degraded", "1 while in degraded read-only mode",
+     _state_is("degraded"), None),
+    ("counter", "repro_serve_recoveries_total",
+     "Degraded-to-serving recoveries", ("degraded", "recoveries"), None),
+    ("counter", "repro_serve_rejected_read_only_total",
+     "Writes refused with 507 while degraded",
+     ("degraded", "rejected_read_only"), None),
+    ("gauge", "repro_serve_uptime_seconds", "Daemon uptime",
+     ("uptime_seconds",), None),
+    ("counter", "repro_serve_queries_total", "Queries answered",
+     ("requests", "queries"), None),
+    ("counter", "repro_serve_unknown_total", "Queries answered UNKNOWN",
+     ("requests", "unknown"), None),
+    ("counter", "repro_serve_errors_total", "Requests that failed internally",
+     ("requests", "errors"), None),
+    ("gauge", "repro_serve_active_requests", "Admitted, not yet released",
+     ("admission", "active"), None),
+    ("counter", "repro_serve_rejected_total",
+     "Requests refused at admission, by reason",
+     ("admission", "rejected_busy"), {"reason": "busy"}),
+    ("counter", "repro_serve_rejected_total",
+     "Requests refused at admission, by reason",
+     ("admission", "rejected_draining"), {"reason": "draining"}),
+    ("counter", "repro_worker_spawns_total", "Query workers started",
+     ("pool", "spawns"), None),
+    ("counter", "repro_worker_crashes_total", "Query workers that died",
+     ("pool", "crashes"), None),
+    ("counter", "repro_serve_retries_total", "Query attempts retried",
+     ("pool", "retries"), None),
+    ("gauge", "repro_store_executions", "Executions in the witness store",
+     ("store", "executions"), None),
+    ("gauge", "repro_store_witnesses", "Validated schedules resident",
+     ("store", "witnesses"), None),
+    ("counter", "repro_store_quarantined_total", "Corrupt files quarantined",
+     ("store", "quarantined"), None),
+    ("counter", "repro_store_flush_failures_total",
+     "Durable flushes that failed", ("store", "flush_failures"), None),
+    ("counter", "repro_store_evictions_total",
+     "Entries evicted by the LRU cap", ("store", "evictions"), None),
+    ("counter", "repro_store_compactions_total", "Store compaction passes",
+     ("store", "compactions"), None),
+    ("counter", "repro_serve_http_requests_total",
+     "Completed requests, by tracked endpoint", ("http",), "endpoint"),
+    ("counter", "repro_serve_client_disconnects_total",
+     "Requests whose client vanished or stalled past --client-timeout",
+     ("observability", "client_disconnects"), None),
+    ("counter", "repro_serve_trace_dropped_total",
+     "Trace records dropped by the bounded/failing sink",
+     ("observability", "trace_dropped"), None),
+)
+
+__all__ = ["QueryDaemon", "MAX_BODY_BYTES", "SERVE_METRICS"]

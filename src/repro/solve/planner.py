@@ -98,6 +98,27 @@ class PlannerReport:
         tally.states += states
         tally.elapsed += elapsed
 
+    def fold_query(self, record: Dict[str, object]) -> None:
+        """Fold one traced ``query`` span (its ``decided`` flag and
+        per-tier entries) into the tallies -- how a trace reader
+        rebuilds exactly the report the live run printed."""
+        self.queries += 1
+        if not record["decided"]:
+            self.unknown += 1
+        for entry in record["tiers"]:
+            if entry["answered"]:
+                self.record_answer(
+                    entry["tier"],
+                    states=entry["states"],
+                    elapsed=entry["elapsed"],
+                )
+            else:
+                self.record_cost(
+                    entry["tier"],
+                    states=entry["states"],
+                    elapsed=entry["elapsed"],
+                )
+
     # ------------------------------------------------------------------
     @property
     def answered(self) -> int:

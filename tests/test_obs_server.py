@@ -11,7 +11,9 @@ exits 130 cleanly with the server torn down.
 """
 
 import json
+import multiprocessing
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -31,10 +33,17 @@ from repro.obs import (
     ObsServer,
     SearchProfile,
     StatusBoard,
-    render_status_metrics,
+    render_status,
 )
-from repro.obs.server import status_document
+from repro.obs.server import (
+    SCAN_METRICS,
+    HttpServer,
+    scan_routes,
+    status_document,
+)
 from repro.races.detector import RaceDetector
+from repro.serve import QueryDaemon, WitnessStore
+from repro.serve.app import SERVE_METRICS
 from repro.solve.planner import PlannerReport
 from repro.supervise import RetryPolicy, SupervisedScanner
 
@@ -204,7 +213,7 @@ class TestStatusBoard:
 
 class TestRenderStatusMetrics:
     def test_parses_before_scan(self):
-        samples = _parse_prometheus(render_status_metrics(None))
+        samples = _parse_prometheus(render_status(None, SCAN_METRICS))
         assert samples["repro_scan_up"] == 1
 
     def test_full_snapshot_renders_every_block(self):
@@ -222,7 +231,7 @@ class TestRenderStatusMetrics:
         board.merge_profile(prof.snapshot())
         board.observe({"kind": "worker.spawn", "worker": 0})
         board.observe({"kind": "worker.crash", "worker": 0, "resource": "crash"})
-        samples = _parse_prometheus(render_status_metrics(board.latest()))
+        samples = _parse_prometheus(render_status(board.latest(), SCAN_METRICS))
         assert samples["repro_scan_pairs_total"] == 6
         assert samples["repro_scan_pairs_done"] == 2
         assert samples['repro_pairs_classified_total{status="feasible"}'] == 1
@@ -273,15 +282,6 @@ class TestObsServer:
             board.finish("done")
             assert _get(srv.url("/readyz"))[0] == 200
 
-    def test_readyz_honors_a_custom_ready_callable(self):
-        ready = [False]
-        with ObsServer(StatusBoard(), 0, ready=lambda: ready[0]) as srv:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(srv.url("/readyz"))
-            assert excinfo.value.code == 503
-            ready[0] = True
-            assert _get(srv.url("/readyz"))[0] == 200
-
     def test_unknown_path_is_404(self):
         with ObsServer(StatusBoard(), 0) as srv:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -305,6 +305,382 @@ class TestObsServer:
         srv.close()
         rebound = ObsServer(StatusBoard(), port).start()
         rebound.close()
+
+
+# ----------------------------------------------------------------------
+# /metrics golden sets: for fixed status documents, every HELP/TYPE
+# line and sample of both surfaces' exposition is pinned, so a table
+# edit cannot silently rename, relabel or revalue a scraped series
+GOLDEN_SCAN_DOC = {
+    "service": "repro",
+    "status_version": 1,
+    "state": "scanning",
+    "fingerprint": "f00d",
+    "pairs": {
+        "total": 6, "done": 4, "feasible": 2, "infeasible": 1, "unknown": 1,
+    },
+    "planner": {
+        "queries": 9,
+        "unknown": 1,
+        "tiers": {
+            "engine": {"answered": 2, "states": 40, "elapsed": 0.5},
+            "structural": {"answered": 5, "states": 0, "elapsed": 0.25},
+        },
+    },
+    "profile": {
+        "version": 1,
+        "searches": 2,
+        "choices": {
+            "3|P|s": {
+                "chosen": 1, "states": 7, "dead_ends": 0, "backtracks": 0,
+            },
+            "5|V|s": {
+                "chosen": 2, "states": 5, "dead_ends": 1, "backtracks": 1,
+            },
+        },
+    },
+    "workers": {
+        "0": {"alive": True, "state": "busy", "pair": [1, 5],
+              "results": 3, "crashes": 1},
+    },
+    "worker_spawns": 3,
+    "worker_crashes": 1,
+    "checkpoint_writes": 4,
+    "engine_states": 40,
+    "elapsed_seconds": 2.5,
+    "rate_pairs_per_second": 1.5,
+    "eta_seconds": 1.25,
+    "budget": None,
+    "updated_at": 1000.0,
+    "age_seconds": 0.0,
+}
+
+GOLDEN_SERVE_DOC = {
+    "service": "repro-serve",
+    "state": "degraded",
+    "uptime_seconds": 12.5,
+    "requests": {"queries": 7, "unknown": 2, "errors": 1},
+    "http": {"POST /query": 7, "POST /executions": 3},
+    "observability": {
+        "client_disconnects": 2,
+        "trace_enabled": True,
+        "trace_dropped": 5,
+        "slow_threshold_seconds": 1.0,
+        "client_timeout_seconds": 10.0,
+    },
+    "degraded": {"seconds": 3.0, "recoveries": 1, "rejected_read_only": 4},
+    "admission": {"active": 1, "rejected_busy": 6, "rejected_draining": 2},
+    "pool": {"spawns": 3, "crashes": 2, "retries": 1},
+    "store": {
+        "executions": 4, "witnesses": 9, "quarantined": 1,
+        "flush_failures": 3, "evictions": 2, "compactions": 1,
+    },
+}
+
+GOLDEN_SCAN_NONE_METRICS = """\
+# HELP repro_scan_up 1 while the scan process serves
+# TYPE repro_scan_up gauge
+repro_scan_up 1
+"""
+
+GOLDEN_SCAN_METRICS = """\
+# HELP repro_scan_up 1 while the scan process serves
+# TYPE repro_scan_up gauge
+repro_scan_up 1
+# HELP repro_scan_pairs_total Conflicting pairs in the scan
+# TYPE repro_scan_pairs_total gauge
+repro_scan_pairs_total 6
+# HELP repro_scan_pairs_done Pairs classified so far
+# TYPE repro_scan_pairs_done gauge
+repro_scan_pairs_done 4
+# HELP repro_pairs_classified_total Conflicting pairs classified, by outcome
+# TYPE repro_pairs_classified_total counter
+repro_pairs_classified_total{status="feasible"} 2
+repro_pairs_classified_total{status="infeasible"} 1
+repro_pairs_classified_total{status="unknown"} 1
+# HELP repro_planner_queries_total Primitive planner queries posed
+# TYPE repro_planner_queries_total counter
+repro_planner_queries_total 9
+# HELP repro_planner_unknown_total Planner ladder fall-throughs
+# TYPE repro_planner_unknown_total counter
+repro_planner_unknown_total 1
+# HELP repro_tier_answered_total Queries settled, by planner tier
+# TYPE repro_tier_answered_total counter
+repro_tier_answered_total{tier="engine"} 2
+repro_tier_answered_total{tier="structural"} 5
+# HELP repro_tier_states_total Search states charged, by planner tier
+# TYPE repro_tier_states_total counter
+repro_tier_states_total{tier="engine"} 40
+repro_tier_states_total{tier="structural"} 0
+# HELP repro_tier_elapsed_seconds_total Time charged, by planner tier
+# TYPE repro_tier_elapsed_seconds_total counter
+repro_tier_elapsed_seconds_total{tier="engine"} 0.5
+repro_tier_elapsed_seconds_total{tier="structural"} 0.25
+# HELP repro_engine_states_per_second Exact-search throughput over the whole scan
+# TYPE repro_engine_states_per_second gauge
+repro_engine_states_per_second 80
+# HELP repro_scan_elapsed_seconds Wall-clock duration of the scan
+# TYPE repro_scan_elapsed_seconds gauge
+repro_scan_elapsed_seconds 2.5
+# HELP repro_scan_pairs_per_second Observed classification rate
+# TYPE repro_scan_pairs_per_second gauge
+repro_scan_pairs_per_second 1.5
+# HELP repro_scan_eta_seconds Projected seconds to drain the scan
+# TYPE repro_scan_eta_seconds gauge
+repro_scan_eta_seconds 1.25
+# HELP repro_worker_spawns_total Supervised workers started
+# TYPE repro_worker_spawns_total counter
+repro_worker_spawns_total 3
+# HELP repro_worker_crashes_total Supervised workers that died
+# TYPE repro_worker_crashes_total counter
+repro_worker_crashes_total 1
+# HELP repro_checkpoint_writes_total Pair records journaled durably
+# TYPE repro_checkpoint_writes_total counter
+repro_checkpoint_writes_total 4
+# HELP repro_profile_states_total Engine states attributed by the search profiler
+# TYPE repro_profile_states_total counter
+repro_profile_states_total 12
+"""
+
+GOLDEN_SERVE_METRICS = """\
+# HELP repro_serve_up 1 while the daemon serves
+# TYPE repro_serve_up gauge
+repro_serve_up 1
+# HELP repro_serve_ready 1 while accepting new queries
+# TYPE repro_serve_ready gauge
+repro_serve_ready 0
+# HELP repro_serve_degraded 1 while in degraded read-only mode
+# TYPE repro_serve_degraded gauge
+repro_serve_degraded 1
+# HELP repro_serve_recoveries_total Degraded-to-serving recoveries
+# TYPE repro_serve_recoveries_total counter
+repro_serve_recoveries_total 1
+# HELP repro_serve_rejected_read_only_total Writes refused with 507 while degraded
+# TYPE repro_serve_rejected_read_only_total counter
+repro_serve_rejected_read_only_total 4
+# HELP repro_serve_uptime_seconds Daemon uptime
+# TYPE repro_serve_uptime_seconds gauge
+repro_serve_uptime_seconds 12.5
+# HELP repro_serve_queries_total Queries answered
+# TYPE repro_serve_queries_total counter
+repro_serve_queries_total 7
+# HELP repro_serve_unknown_total Queries answered UNKNOWN
+# TYPE repro_serve_unknown_total counter
+repro_serve_unknown_total 2
+# HELP repro_serve_errors_total Requests that failed internally
+# TYPE repro_serve_errors_total counter
+repro_serve_errors_total 1
+# HELP repro_serve_active_requests Admitted, not yet released
+# TYPE repro_serve_active_requests gauge
+repro_serve_active_requests 1
+# HELP repro_serve_rejected_total Requests refused at admission, by reason
+# TYPE repro_serve_rejected_total counter
+repro_serve_rejected_total{reason="busy"} 6
+repro_serve_rejected_total{reason="draining"} 2
+# HELP repro_worker_spawns_total Query workers started
+# TYPE repro_worker_spawns_total counter
+repro_worker_spawns_total 3
+# HELP repro_worker_crashes_total Query workers that died
+# TYPE repro_worker_crashes_total counter
+repro_worker_crashes_total 2
+# HELP repro_serve_retries_total Query attempts retried
+# TYPE repro_serve_retries_total counter
+repro_serve_retries_total 1
+# HELP repro_store_executions Executions in the witness store
+# TYPE repro_store_executions gauge
+repro_store_executions 4
+# HELP repro_store_witnesses Validated schedules resident
+# TYPE repro_store_witnesses gauge
+repro_store_witnesses 9
+# HELP repro_store_quarantined_total Corrupt files quarantined
+# TYPE repro_store_quarantined_total counter
+repro_store_quarantined_total 1
+# HELP repro_store_flush_failures_total Durable flushes that failed
+# TYPE repro_store_flush_failures_total counter
+repro_store_flush_failures_total 3
+# HELP repro_store_evictions_total Entries evicted by the LRU cap
+# TYPE repro_store_evictions_total counter
+repro_store_evictions_total 2
+# HELP repro_store_compactions_total Store compaction passes
+# TYPE repro_store_compactions_total counter
+repro_store_compactions_total 1
+# HELP repro_serve_http_requests_total Completed requests, by tracked endpoint
+# TYPE repro_serve_http_requests_total counter
+repro_serve_http_requests_total{endpoint="POST /executions"} 3
+repro_serve_http_requests_total{endpoint="POST /query"} 7
+# HELP repro_serve_client_disconnects_total Requests whose client vanished or stalled past --client-timeout
+# TYPE repro_serve_client_disconnects_total counter
+repro_serve_client_disconnects_total 2
+# HELP repro_serve_trace_dropped_total Trace records dropped by the bounded/failing sink
+# TYPE repro_serve_trace_dropped_total counter
+repro_serve_trace_dropped_total 5
+"""
+class TestRenderStatus:
+    """Both surfaces' /metrics tables against the golden sets."""
+
+    @staticmethod
+    def _lines(text):
+        return set(text.splitlines())
+
+    def test_scan_table_matches_golden(self):
+        assert self._lines(
+            render_status(GOLDEN_SCAN_DOC, SCAN_METRICS)
+        ) == self._lines(GOLDEN_SCAN_METRICS)
+        assert self._lines(
+            render_status(None, SCAN_METRICS)
+        ) == self._lines(GOLDEN_SCAN_NONE_METRICS)
+
+    def test_daemon_table_matches_golden(self):
+        assert self._lines(
+            render_status(GOLDEN_SERVE_DOC, SERVE_METRICS)
+        ) == self._lines(GOLDEN_SERVE_METRICS)
+
+
+# ----------------------------------------------------------------------
+class _ScanSurface:
+    """The scan's route table on the one server."""
+
+    def __init__(self, tmp_path):
+        self.board = StatusBoard()
+
+    def build(self, port=0):
+        return ObsServer(self.board, port)
+
+    def start(self, srv):
+        srv.start()
+        self.board.begin_scan(total=1)
+        return srv
+
+    def drain(self, srv):
+        self.board.set_state("draining")
+
+
+class _DaemonSurface:
+    """The daemon's route table on the one server."""
+
+    def __init__(self, tmp_path):
+        self.root = tmp_path / "store"
+
+    def build(self, port=0):
+        return QueryDaemon(WitnessStore(str(self.root)), port=port, workers=1)
+
+    def start(self, srv):
+        return srv.start()
+
+    def drain(self, srv):
+        srv.drain(grace=5.0)
+
+
+def _pool_threads():
+    return {t for t in threading.enumerate() if t.name == "repro-query-pool"}
+
+
+@pytest.fixture(params=[_ScanSurface, _DaemonSurface], ids=["scan", "daemon"])
+def surface(request, tmp_path):
+    return request.param(tmp_path)
+
+
+class TestHttpContract:
+    """The contract the one server gives both front ends."""
+
+    def test_liveness_and_readiness_across_start_and_drain(self, surface):
+        srv = surface.start(surface.build())
+        try:
+            assert _get(srv.url("/healthz")) == (200, "ok\n")
+            assert _get(srv.url("/readyz")) == (200, "ready\n")
+            surface.drain(srv)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(srv.url("/readyz"))
+            excinfo.value.close()
+            assert excinfo.value.code == 503
+            assert _get(srv.url("/healthz"))[0] == 200
+        finally:
+            srv.close()
+
+    def test_unknown_method_and_path_is_404(self, surface):
+        srv = surface.start(surface.build())
+        try:
+            for method in ("GET", "POST"):
+                req = urllib.request.Request(
+                    srv.url("/nope"), data=b"{}", method=method
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(req, timeout=10.0)
+                excinfo.value.close()
+                assert excinfo.value.code == 404
+            # a known path under a method it is not routed for
+            req = urllib.request.Request(
+                srv.url("/healthz"), data=b"{}", method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(req, timeout=10.0)
+            excinfo.value.close()
+            assert excinfo.value.code == 404
+        finally:
+            srv.close()
+
+    def test_request_id_is_echoed_on_every_reply(self, surface):
+        srv = surface.start(surface.build())
+        try:
+            for path in ("/healthz", "/status", "/metrics", "/nope"):
+                req = urllib.request.Request(srv.url(path))
+                req.add_header("X-Repro-Request-Id", "probe-7")
+                try:
+                    with urllib.request.urlopen(req, timeout=10.0) as resp:
+                        headers = resp.headers
+                except urllib.error.HTTPError as exc:  # the 404
+                    headers = exc.headers
+                    exc.close()
+                assert headers["X-Repro-Request-Id"] == "probe-7", path
+            # a malformed claim is replaced with a minted id
+            req = urllib.request.Request(srv.url("/healthz"))
+            req.add_header("X-Repro-Request-Id", "spaces are not ok")
+            with urllib.request.urlopen(req, timeout=10.0) as resp:
+                minted = resp.headers["X-Repro-Request-Id"]
+            assert re.fullmatch(r"[A-Za-z0-9._-]{1,64}", minted)
+        finally:
+            srv.close()
+
+    def test_port_in_use_raises_at_construction(self, surface):
+        taken = socket.socket()
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        before = _pool_threads()
+        children = set(multiprocessing.active_children())
+        try:
+            with pytest.raises(OSError):
+                surface.build(taken.getsockname()[1])
+        finally:
+            taken.close()
+        # a daemon that failed to bind closed the pool it had started
+        deadline = time.monotonic() + 10.0
+        while any(t.is_alive() for t in _pool_threads() - before):
+            assert time.monotonic() < deadline, "leaked a query pool"
+            time.sleep(0.05)
+        assert set(multiprocessing.active_children()) <= children
+
+    def test_close_is_idempotent_and_releases_the_port(self, surface):
+        srv = surface.start(surface.build())
+        port = srv.port
+        srv.close()
+        srv.close()
+        rebound = surface.start(surface.build(port))
+        assert _get(rebound.url("/healthz"))[0] == 200
+        rebound.close()
+
+    def test_idle_connection_is_closed_within_the_client_timeout(self):
+        """A connection that never sends a request holds one handler
+        thread for at most the client timeout, while others are served."""
+        board = StatusBoard()
+        with HttpServer(scan_routes(board), 0, client_timeout=0.5) as srv:
+            idle = socket.create_connection((srv.host, srv.port), timeout=10.0)
+            try:
+                t0 = time.monotonic()
+                assert _get(srv.url("/healthz"))[0] == 200
+                assert idle.recv(1) == b""  # the server hung up
+                assert time.monotonic() - t0 < 5.0
+            finally:
+                idle.close()
 
 
 # ----------------------------------------------------------------------
