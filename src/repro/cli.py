@@ -338,7 +338,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 if sink is not None:
                     sink.close()
                 if server is not None:
-                    board.finish("done")
+                    board.set_state("done")
                     server.close()
             if profile is not None:
                 _save_profile(profile, args.profile)
@@ -535,7 +535,7 @@ def _feasible_scan(
                 profile=profile,
             )
             if board is not None:
-                board.finish(
+                board.set_state(
                     "interrupted" if feasible.interrupted else "done"
                 )
         finally:

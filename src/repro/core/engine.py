@@ -42,10 +42,30 @@ get separate begin/end actions, the rest execute atomically.  With an
 empty set it is a serial-schedule searcher; with the full event set it
 enumerates genuine point schedules (used by the reference enumerator).
 
-States are triples of integer bitmasks (begun, ended, posted-vars) plus
-a tuple of semaphore counts; monotone progress makes the state graph a
-DAG, so memoizing visited states is sound and the search is a plain
-DFS with failure memoization.
+A state is four ints: the begun and ended event bitmasks, the posted
+event variables, and the semaphore counts packed one field per
+semaphore.  Monotone progress makes the state graph a DAG, so memoizing
+failed states is sound.  The search is one depth-first loop over an
+explicit stack of frames -- no recursion, so its depth is bounded by
+memory, not by the interpreter's recursion limit.  Each frame carries
+two masks alongside its state, updated incrementally on every
+completion instead of rescanning every event:
+
+* *ready* -- the not-begun events whose begin prerequisites have all
+  ended; a completion can only make its own begin-successors ready;
+* *blocked* -- the ``P``'s of semaphores whose count is 0 plus the
+  ``Wait``'s of unposted variables; a ``P``/``V``/``Post``/``Clear``
+  completion flips only its own object's members.
+
+The candidates at a state are then ``ready & ~blocked`` (interval
+begins are never blocked) plus the begun, unblocked interval events;
+only gated points and joins need a per-event check.  Dead-end pruning
+(a ``Wait`` that can never be satisfied again; with binary semaphores,
+a token supply that can no longer cover the remaining ``P``'s) is
+tested in full once, at the start state, and afterwards only for the
+object the last completion touched: every other object's condition is
+unchanged from the parent, which was not a dead end (else it would
+not have been expanded).
 
 Partial-order reduction (action hoisting)
 -----------------------------------------
@@ -92,20 +112,23 @@ records the sleep set it failed under and is reused only for supersets)
 and hoisted singletons either filter the sleep set (when the hoisted
 action is *persistent* -- nothing dependent with it can run first) or
 wake every sleeper (when hoist exactness is the only argument).
-DESIGN.md Section 4.3 proves verdicts are preserved exactly, including
+DESIGN.md Section 4.2c proves verdicts are preserved exactly, including
 under ``memoize``/``memo_cap`` and budget aborts; the reference
 enumerator stays unreduced as the differential oracle.
 
 ``por="hoist"`` keeps only the free-action hoisting above and
 ``por="off"`` disables both reductions (every search is the plain
 memoized DFS) -- the ladder the benchmarks use to measure each layer.
+The order in which successors are tried is part of the contract: a
+satisfiable search stops at its first witness, so the witness and every
+counter depend on it (``tests/test_engine_golden.py`` pins both).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.budget import Budget, DEADLINE, STATES
 from repro.model.events import EventKind
@@ -199,9 +222,21 @@ class SearchStats:
             self.termination = other.termination
 
 
-# Internal action encoding: (eid, phase) with phase 0 = begin of an
-# interval event, 1 = end of an interval event, 2 = atomic execution.
+# Internal action encoding: ``eid << 2 | phase`` with phase 0 = begin of
+# an interval event, 1 = end of an interval event, 2 = atomic execution.
 _BEGIN, _END, _ATOMIC = 0, 1, 2
+# the points each phase schedules: begin, end, or both
+_POINTS = ((False,), (True,), (False, True))
+
+# Completion effects on the sync state, per event.
+_NO_EFFECT, _EFFECT_P, _EFFECT_V, _EFFECT_POST, _EFFECT_CLEAR = 0, 1, 2, 3, 4
+
+# Hoist classification of a state's action list: 0 = genuine branch
+# list, 1 = persistent singleton hoist (nothing dependent with the
+# action can run before it -- safe to filter a sleep set through),
+# 2 = singleton hoist justified by exactness alone (sleep sets must wake
+# every sleeper).
+_BRANCH, _HOIST_PERSISTENT, _HOIST_WAKE = 0, 1, 2
 
 # Attribution key for search states visited before the first real
 # branch.  Must match ``repro.obs.profile.ROOT_KEY`` -- duplicated here
@@ -269,84 +304,139 @@ class FeasibilityEngine:
             for a, b in exe.dependences:
                 pre[b] |= 1 << a
         self._begin_pre = pre
+        # the search keeps a *ready* mask (not-begun events whose
+        # prerequisites have all ended): a completion can only make its
+        # own begin-successors ready
+        succ: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        self._ready_initial = 0
+        for eid in range(n):
+            if not pre[eid]:
+                self._ready_initial |= 1 << eid
+            m = pre[eid]
+            while m:
+                low = m & -m
+                m ^= low
+                succ[low.bit_length() - 1].append((1 << eid, pre[eid]))
+        self._begin_succ: List[Tuple[Tuple[int, int], ...]] = [tuple(s) for s in succ]
 
-        # --- end semantics ---------------------------------------------------
+        # --- end semantics: per-object member masks and per-event effects
         sems = exe.semaphores
-        self._sem_index: Dict[str, int] = {s: i for i, s in enumerate(sems)}
-        self._sem_initial: Tuple[int, ...] = tuple(exe.sem_initial(s) for s in sems)
+        sem_index = {s: i for i, s in enumerate(sems)}
         evars = exe.event_variables
-        self._var_index: Dict[str, int] = {v: i for i, v in enumerate(evars)}
-        self._var_initial_mask = 0
-        for v in evars:
-            if exe.var_initially_posted(v):
-                self._var_initial_mask |= 1 << self._var_index[v]
-
-        # per-event dispatch data
-        self._kind: List[EventKind] = [exe.event(i).kind for i in range(n)]
-        self._sem_of: List[int] = [-1] * n
-        self._var_of: List[int] = [-1] * n
-        self._join_need: List[int] = [0] * n
-        cleared_vars = {e.obj for e in exe.events if e.kind is EventKind.CLEAR}
-        for e in exe.events:
-            if e.kind.is_semaphore_op:
-                self._sem_of[e.eid] = self._sem_index[e.obj]
-            elif e.kind.is_event_var_op:
-                self._var_of[e.eid] = self._var_index[e.obj]
-            elif e.kind is EventKind.JOIN:
-                need = 0
-                for t in exe.join_targets[e.eid]:
-                    for x in exe.process_events(t):
-                        need |= 1 << x
-                self._join_need[e.eid] = need
-
-        # partial-order reduction: which completions are "free" (see
-        # module docstring).  P consumes, Clear erases, and a Post on a
-        # clearable variable does not commute past the Clear.
-        self._free_end: List[bool] = []
-        for e in exe.events:
-            k = e.kind
-            if k in (
-                EventKind.COMPUTATION,
-                EventKind.FORK,
-                EventKind.JOIN,
-                EventKind.WAIT,
-                EventKind.FENCE,  # ordering lives in begin_pre, not state
-            ):
-                self._free_end.append(True)
-            elif k is EventKind.SEM_V:
-                self._free_end.append(not binary_semaphores)
-            elif k is EventKind.POST:
-                self._free_end.append(e.obj not in cleared_vars)
-            else:  # SEM_P, CLEAR, POST on a clearable variable
-                self._free_end.append(False)
-
-        # masks for the *dynamic* freeness rules and dead-end pruning:
-        #  - a P(s) is free once count(s) covers every remaining P(s):
-        #    count - remaining_P only grows (each V adds, each P removes
-        #    one of each), so no P(s) can ever block again;
-        #  - a Post(v) is free once no Clear(v) remains, a Clear(v) once
-        #    no Wait(v) remains (their effects are then monotone /
-        #    inconsequential);
-        #  - a state with v cleared, Waits on v remaining and no Post(v)
-        #    remaining is a dead end.
-        nsem = len(sems)
-        nvar = len(evars)
+        var_index = {v: i for i, v in enumerate(evars)}
+        nsem, nvar = len(sems), len(evars)
         self._p_mask = [0] * nsem
         self._v_mask = [0] * nsem
         self._post_mask = [0] * nvar
         self._clear_mask = [0] * nvar
         self._wait_mask = [0] * nvar
+        self._effect = [_NO_EFFECT] * n
+        self._obj_of = [-1] * n  # semaphore or variable index
+        self._join_need = [0] * n
+        self._join_mask = 0
         for e in exe.events:
-            if e.kind is EventKind.SEM_P:
-                self._p_mask[self._sem_index[e.obj]] |= 1 << e.eid
-            elif e.kind is EventKind.SEM_V:
-                self._v_mask[self._sem_index[e.obj]] |= 1 << e.eid
-            elif e.kind is EventKind.POST:
-                self._post_mask[self._var_index[e.obj]] |= 1 << e.eid
-            elif e.kind is EventKind.CLEAR:
-                self._clear_mask[self._var_index[e.obj]] |= 1 << e.eid
-            elif e.kind is EventKind.WAIT:
-                self._wait_mask[self._var_index[e.obj]] |= 1 << e.eid
+            k, eid, bit = e.kind, e.eid, 1 << e.eid
+            if k.is_semaphore_op:
+                si = self._obj_of[eid] = sem_index[e.obj]
+                if k is EventKind.SEM_P:
+                    self._effect[eid] = _EFFECT_P
+                    self._p_mask[si] |= bit
+                else:
+                    self._effect[eid] = _EFFECT_V
+                    self._v_mask[si] |= bit
+            elif k.is_event_var_op:
+                vi = self._obj_of[eid] = var_index[e.obj]
+                if k is EventKind.POST:
+                    self._effect[eid] = _EFFECT_POST
+                    self._post_mask[vi] |= bit
+                elif k is EventKind.CLEAR:
+                    self._effect[eid] = _EFFECT_CLEAR
+                    self._clear_mask[vi] |= bit
+                else:
+                    self._wait_mask[vi] |= bit
+            elif k is EventKind.JOIN:
+                for t in exe.join_targets[eid]:
+                    for x in exe.process_events(t):
+                        self._join_need[eid] |= 1 << x
+                self._join_mask |= bit
+
+        # semaphore counts packed into one int, one field per semaphore
+        # wide enough for its largest reachable count
+        self._sem_shift = [0] * nsem
+        self._sem_field = [0] * nsem
+        self._counts_initial = 0
+        shift = 0
+        for si, s in enumerate(sems):
+            init = exe.sem_initial(s)
+            top = max(init, 1) if binary_semaphores else init + _popcount(self._v_mask[si])
+            width = max(1, top.bit_length())
+            self._sem_shift[si] = shift
+            self._sem_field[si] = (1 << width) - 1
+            self._counts_initial |= init << shift
+            shift += width
+
+        # the search also keeps a *blocked* mask: the P's of semaphores
+        # whose count is 0 plus the Wait's of unposted variables; a
+        # completion flips only its own object's members
+        self._var_initial_mask = 0
+        self._blocked_initial = 0
+        for vi, v in enumerate(evars):
+            if exe.var_initially_posted(v):
+                self._var_initial_mask |= 1 << vi
+            else:
+                self._blocked_initial |= self._wait_mask[vi]
+        for si, s in enumerate(sems):
+            if not exe.sem_initial(s):
+                self._blocked_initial |= self._p_mask[si]
+
+        # partial-order reduction: which completions are "free" (see
+        # module docstring).  Computation, fork, join, Wait and fence
+        # completions always are, as are V's on counting semaphores and
+        # Post's on variables no event clears.  The rest are free once
+        # the state makes them so:
+        #  - a P(s) once count(s) covers every remaining P(s): count -
+        #    remaining_P only grows (each V adds, each P removes one of
+        #    each), so no P(s) can ever block again;
+        #  - a binary V(s) once no P(s) remains (the clamp cannot matter);
+        #  - a Post(v) once no Clear(v) remains, a Clear(v) once no
+        #    Wait(v) remains (their effects are then monotone /
+        #    inconsequential).
+        # ``_free_need[eid]`` holds those events; the search counts how
+        # many have not ended against count(s) for a P, 0 otherwise.
+        self._free_static = 0
+        self._free_need = [0] * n
+        for eid in range(n):
+            eff, obj = self._effect[eid], self._obj_of[eid]
+            if eff == _EFFECT_P or (eff == _EFFECT_V and binary_semaphores):
+                self._free_need[eid] = self._p_mask[obj]
+            elif eff == _EFFECT_POST and self._clear_mask[obj]:
+                self._free_need[eid] = self._clear_mask[obj]
+            elif eff == _EFFECT_CLEAR:
+                self._free_need[eid] = self._wait_mask[obj]
+            else:
+                self._free_static |= 1 << eid
+
+        # dead ends: a state where some Wait(v) can never be satisfied
+        # (v cleared, Waits on v remaining, no Post(v) remaining) or,
+        # with binary semaphores, where count(s) plus the remaining V(s)
+        # cannot cover the remaining P(s) -- clamping only shrinks the
+        # token supply.  (For counting semaphores that quantity is
+        # invariant, so the check would never fire.)  The search tests
+        # the start state here and afterwards only the object the last
+        # completion touched: see ``search``.
+        self._start_dead = any(
+            not (self._var_initial_mask >> vi) & 1
+            and self._wait_mask[vi]
+            and not self._post_mask[vi]
+            for vi in range(nvar)
+        ) or (
+            binary_semaphores
+            and any(
+                exe.sem_initial(s) + _popcount(self._v_mask[si])
+                < _popcount(self._p_mask[si])
+                for si, s in enumerate(sems)
+            )
+        )
 
         # sleep sets need the static independence relation; the other
         # modes never read it
@@ -436,27 +526,27 @@ class FeasibilityEngine:
     # ------------------------------------------------------------------
     # constraint preprocessing
     # ------------------------------------------------------------------
-    def _prepare_constraints(
-        self, constraints: Iterable[Tuple[Point, Point]]
-    ) -> Tuple[Dict[Tuple[int, int], List[Point]], bool]:
+    @staticmethod
+    def _gates(constraints: Iterable[Tuple[Point, Point]]):
         """Map each gated point to the points that must precede it.
 
-        Returns ``(gates, trivially_unsat)``; a constraint of the form
-        ``end(x) < begin(x)`` can never be satisfied.
+        Returns ``(begin_gates, end_gates, gated)``: per eid, the masks
+        ``(begun_needed, ended_needed)`` its begin (resp. end) waits
+        for, and the mask of eids with any gate -- or ``None`` when some
+        constraint is ``end(x) < begin(x)``, which can never hold.
         """
-        gates: Dict[Tuple[int, int], List[Point]] = {}
+        tables: Tuple[Dict[int, Tuple[int, int]], ...] = ({}, {})
+        gated = 0
         for before, after in constraints:
             if before.eid == after.eid and before.is_end and not after.is_end:
-                return {}, True
-            key = (after.eid, 1 if after.is_end else 0)
-            gates.setdefault(key, []).append(before)
-        return gates, False
-
-    @staticmethod
-    def _point_scheduled(p: Point, begun: int, ended: int) -> bool:
-        if p.is_end:
-            return bool((ended >> p.eid) & 1)
-        return bool((begun >> p.eid) & 1)
+                return None
+            table, bit = tables[after.is_end], 1 << before.eid
+            need_begun, need_ended = table.get(after.eid, (0, 0))
+            table[after.eid] = (
+                (need_begun, need_ended | bit) if before.is_end else (need_begun | bit, need_ended)
+            )
+            gated |= 1 << after.eid
+        return tables[0], tables[1], gated
 
     def _profile_keys(self) -> List[Tuple[int, str, str]]:
         """Per-eid profiler attribution keys ``(eid, kind, obj)``.
@@ -546,299 +636,273 @@ class FeasibilityEngine:
         interval = 0
         for eid in interval_events:
             interval |= 1 << eid
-        gates, unsat = self._prepare_constraints(constraints)
-        if unsat:
+        gates = self._gates(constraints)
+        if gates is None:
             return None
+        begin_gates, end_gates, gated = gates
 
-        n = self._n
-        full = self._full_mask
-        kind = self._kind
-        sem_of = self._sem_of
-        var_of = self._var_of
-        join_need = self._join_need
-        begin_pre = self._begin_pre
-        binary = self.binary_semaphores
+        full, begin_succ, join_need = self._full_mask, self._begin_succ, self._join_need
+        effect, obj_of = self._effect, self._obj_of
+        p_mask, v_mask, post_mask, wait_mask = (
+            self._p_mask, self._v_mask, self._post_mask, self._wait_mask
+        )
+        sem_shift, sem_field, binary = self._sem_shift, self._sem_field, self.binary_semaphores
+        free_static, free_need = self._free_static, self._free_need
+        por_sleep, reduce_free = self.por == "sleep", self.por != "off"
+        indep, sync_dep = self._indep_mask, self._sync_dep_mask
+        # events whose enabledness needs more than the ready and blocked
+        # masks: gated points and joins
+        special = gated | self._join_mask
+        ticking = deadline is not None or on_progress is not None
 
-        # state: (begun, ended, varmask, semcounts).  The failure memo
-        # maps each failed state to the *sleep set* (an eid bitmask) the
-        # failure was established under: failing while more actions
-        # sleep is the weaker fact, so an entry is reusable exactly when
-        # the stored mask is a subset of the current sleep set.  Without
-        # sleep sets every mask is 0 and the dict degenerates to the
-        # plain visited-set of the hoist-only engine.
-        start = (0, 0, self._var_initial_mask, self._sem_initial)
-        failed: Dict[Tuple[int, int, int, Tuple[int, ...]], int] = {}
-        path: List[Point] = []
-        por_sleep = self.por == "sleep"
-        reduce_free = self.por != "off"
-        indep = self._indep_mask
-        sync_dep = self._sync_dep_mask
-        # count of sleep-set consultations (skips, prunes, conditional
-        # memo hits).  A failed subtree that never consulted the sleep
-        # set failed unconditionally, so its memo entry can store mask 0
-        # and be reused under any future sleep set.
-        sleep_consults = [0]
-
+        profile_keys = profile_stack = None
         if profile is not None:
             profile.charge_search()
             profile_keys = self._profile_keys()
             # Stack of attribution keys: the chosen action at each
             # enclosing *branch* (free/hoisted actions don't push).
             profile_stack = [_PROFILE_ROOT]
-        else:
-            profile_keys = None
-            profile_stack = None
 
-        free_end = self._free_end
-        p_mask = self._p_mask
-        post_mask = self._post_mask
-        clear_mask = self._clear_mask
-        wait_mask = self._wait_mask
-        nvar = len(post_mask)
+        # The failure memo maps each failed state (begun, ended, varmask,
+        # counts) to the *sleep set* (an eid bitmask) the failure was
+        # established under: failing while more actions sleep is the
+        # weaker fact, so an entry is reusable exactly when the stored
+        # mask is a subset of the current sleep set.  Without sleep sets
+        # every mask is 0 and the dict is the plain visited-set.
+        failed: Dict[Tuple[int, int, int, int], int] = {}
+        path: List[int] = []  # the actions leading to the current state
+        # one entry per ancestor state: its frame, to resume on backtrack
+        stack: List[tuple] = []
+        # counters live in locals and are published to ``stats`` before
+        # every progress tick and when the search leaves
+        visited, tried, memo_hits = stats.states_visited, stats.actions_tried, stats.memo_hits
+        dead_ends, hoisted, suppressed = stats.dead_ends, stats.hoisted, stats.memo_suppressed
+        # count of sleep-set consultations (skips, prunes, conditional
+        # memo hits).  A failed subtree that never consulted the sleep
+        # set failed unconditionally, so its memo entry can store mask 0
+        # and be reused under any future sleep set.
+        consults = 0
 
-        def dynamically_free(eid: int, ended: int, counts) -> bool:
-            k = kind[eid]
-            if k is EventKind.SEM_P:
-                si = sem_of[eid]
-                return counts[si] >= _popcount(p_mask[si] & ~ended)
-            if k is EventKind.SEM_V:
-                # only reached in binary mode (counting V is statically
-                # free): once no P on s remains, the clamp cannot matter
-                return not (p_mask[sem_of[eid]] & ~ended)
-            if k is EventKind.POST:
-                return not (clear_mask[var_of[eid]] & ~ended)
-            if k is EventKind.CLEAR:
-                return not (wait_mask[var_of[eid]] & ~ended)
-            return False
+        # the current state
+        begun = ended = sleep = 0
+        varmask, counts, dead = self._var_initial_mask, self._counts_initial, self._start_dead
+        ready, blocked = self._ready_initial, self._blocked_initial
 
-        v_mask = self._v_mask
-        nsem = len(p_mask)
-        binary = self.binary_semaphores
-
-        def dead_end(ended: int, varmask: int, counts) -> bool:
-            # some Wait can never be satisfied again
-            for vi in range(nvar):
-                if (
-                    not ((varmask >> vi) & 1)
-                    and (wait_mask[vi] & ~ended)
-                    and not (post_mask[vi] & ~ended)
-                ):
-                    return True
-            if binary:
-                # with clamping, token supply can only shrink: once the
-                # current count plus all remaining Vs cannot cover the
-                # remaining Ps, completion is impossible.  (For counting
-                # semaphores this quantity is invariant, so the check
-                # would never fire -- skip it.)
-                for si in range(nsem):
-                    if counts[si] + _popcount(v_mask[si] & ~ended) < _popcount(
-                        p_mask[si] & ~ended
-                    ):
-                        return True
-            return False
-
-        # enabled_actions hoist classification: 0 = genuine branch list,
-        # 1 = persistent singleton hoist (nothing dependent with the
-        # action can run before it -- safe to filter a sleep set
-        # through), 2 = singleton hoist justified by exactness alone
-        # (sleep sets must wake every sleeper).
-        _BRANCH, _HOIST_PERSISTENT, _HOIST_WAKE = 0, 1, 2
-
-        def enabled_actions(state):
-            """Enabled actions; a singleton when a free action exists
-            (partial-order reduction, see module docstring)."""
-            begun, ended, varmask, counts = state
-            acts: List[Tuple[int, int]] = []
-            not_begun = full & ~begun
-            # begins / atomic executions
-            m = not_begun
-            while m:
-                low = m & -m
-                eid = low.bit_length() - 1
-                m ^= low
-                if begin_pre[eid] & ~ended:
-                    continue
-                g = gates.get((eid, 0))
-                if g and not all(self._point_scheduled(p, begun, ended) for p in g):
-                    continue
-                if interval & low:
-                    if reduce_free:
-                        stats.hoisted += 1
-                        # begins have no effect and enable nothing but
-                        # their own end: free AND persistent
-                        return [(eid, _BEGIN)], _HOIST_PERSISTENT
-                    acts.append((eid, _BEGIN))
-                    continue
-                # atomic: also needs end-side legality
-                if self._end_ok(eid, ended, varmask, counts, kind, sem_of, var_of, join_need):
-                    ge = gates.get((eid, 1))
-                    if ge and not all(self._point_scheduled(p, begun | low, ended) for p in ge):
-                        continue
-                    if reduce_free and (free_end[eid] or dynamically_free(eid, ended, counts)):
-                        stats.hoisted += 1
-                        if not por_sleep or not (sync_dep[eid] & ~ended):
-                            return [(eid, _ATOMIC)], _HOIST_PERSISTENT
-                        return [(eid, _ATOMIC)], _HOIST_WAKE
-                    acts.append((eid, _ATOMIC))
-            # ends of begun interval events
-            m = begun & ~ended
-            while m:
-                low = m & -m
-                eid = low.bit_length() - 1
-                m ^= low
-                if not self._end_ok(eid, ended, varmask, counts, kind, sem_of, var_of, join_need):
-                    continue
-                ge = gates.get((eid, 1))
-                if ge and not all(self._point_scheduled(p, begun, ended) for p in ge):
-                    continue
-                if reduce_free and (free_end[eid] or dynamically_free(eid, ended, counts)):
-                    stats.hoisted += 1
-                    if not por_sleep or not (sync_dep[eid] & ~ended):
-                        return [(eid, _END)], _HOIST_PERSISTENT
-                    return [(eid, _END)], _HOIST_WAKE
-                acts.append((eid, _END))
-            return acts, _BRANCH
-
-        def apply(state, act):
-            begun, ended, varmask, counts = state
-            eid, phase = act
-            bit = 1 << eid
-            if phase == _BEGIN:
-                return (begun | bit, ended, varmask, counts)
-            # end or atomic: apply completion effect
-            k = kind[eid]
-            if k is EventKind.SEM_P:
-                si = sem_of[eid]
-                counts = counts[:si] + (counts[si] - 1,) + counts[si + 1 :]
-            elif k is EventKind.SEM_V:
-                si = sem_of[eid]
-                newc = counts[si] + 1
-                if binary and newc > 1:
-                    newc = 1
-                counts = counts[:si] + (newc,) + counts[si + 1 :]
-            elif k is EventKind.POST:
-                varmask |= 1 << var_of[eid]
-            elif k is EventKind.CLEAR:
-                varmask &= ~(1 << var_of[eid])
-            return (begun | bit, ended | bit, varmask, counts)
-
-        def dfs(state, sleep: int) -> bool:
-            stats.states_visited += 1
-            if profile is not None:
-                profile.charge_state(profile_stack[-1])
-            if max_states is not None and stats.states_visited > max_states:
-                stats.termination = TERMINATED_STATES
-                raise SearchBudgetExceeded(
-                    f"search exceeded {max_states} states "
-                    f"(visited={stats.states_visited})",
-                    resource=STATES,
-                )
-            if (
-                deadline is not None or on_progress is not None
-            ) and stats.states_visited % check_interval == 0:
-                if on_progress is not None:
-                    on_progress(stats)
-                if deadline is not None and time.monotonic() >= deadline:
-                    stats.termination = TERMINATED_DEADLINE
-                    raise SearchBudgetExceeded(
-                        f"search deadline expired after {stats.states_visited} states",
-                        resource=DEADLINE,
-                    )
-            begun, ended, varmask, counts = state
-            if ended == full:
-                return True
-            if dead_end(ended, varmask, counts):
-                stats.dead_ends += 1
-                if profile is not None:
-                    profile.charge_dead_end(profile_stack[-1])
-                return False
-            acts, hoist = enabled_actions(state)
-            if not acts:
-                stats.dead_ends += 1
-                if profile is not None:
-                    profile.charge_dead_end(profile_stack[-1])
-                return False
-            branching = profile is not None and len(acts) > 1
-            explored = 0
-            for act in acts:
-                eid, phase = act
-                bit = 1 << eid
-                if por_sleep:
-                    if hoist == _HOIST_WAKE:
-                        # the hoist is exact but not persistent: a
-                        # dependent partner may run before eid on some
-                        # completion, so wake every sleeper below
-                        child_sleep = 0
-                    elif sleep & bit:
-                        sleep_consults[0] += 1
-                        if hoist:
-                            # persistent singleton asleep: every
-                            # completion from here starts with an action
-                            # a sibling branch already covered
-                            return False
-                        continue
-                    else:
-                        child_sleep = (sleep | explored) & indep[eid]
-                else:
-                    child_sleep = 0
-                stats.actions_tried += 1
-                nxt = apply(state, act)
-                if memoize:
-                    prev = failed.get(nxt)
-                    if prev is not None and not (prev & ~child_sleep):
-                        stats.memo_hits += 1
-                        if prev:
-                            sleep_consults[0] += 1
-                        explored |= bit
-                        continue
-                if phase == _BEGIN:
-                    path.append(Point(eid, False))
-                elif phase == _END:
-                    path.append(Point(eid, True))
-                else:
-                    path.append(Point(eid, False))
-                    path.append(Point(eid, True))
-                if branching:
-                    choice_key = profile_keys[eid]
-                    profile.charge_choice(choice_key)
-                    profile_stack.append(choice_key)
-                mark = sleep_consults[0]
-                subtree_found = dfs(nxt, child_sleep)
-                if branching:
-                    profile_stack.pop()
-                    if not subtree_found:
-                        profile.charge_backtrack(choice_key)
-                if subtree_found:
-                    return True
-                explored |= bit
-                if phase == _ATOMIC:
-                    path.pop()
-                path.pop()
-                if memoize:
-                    # a subtree that never consulted its sleep set
-                    # failed unconditionally: store mask 0 so the entry
-                    # is reusable under any future sleep set
-                    entry = child_sleep if sleep_consults[0] != mark else 0
-                    prev = failed.get(nxt)
-                    if prev is None:
-                        if memo_cap is None or len(failed) < memo_cap:
-                            failed[nxt] = entry
-                        else:
-                            stats.memo_suppressed += 1
-                    elif not (entry & ~prev):
-                        # strictly stronger (subset) fact: replace
-                        failed[nxt] = entry
-            return False
-
-        import sys
-
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 4 * n + 100))
+        found = False
         t0 = time.monotonic()
         try:
-            found = dfs(start, 0)
+            while True:
+                # ---- visit the current state
+                visited += 1
+                if profile is not None:
+                    profile.charge_state(profile_stack[-1])
+                if max_states is not None and visited > max_states:
+                    stats.termination = TERMINATED_STATES
+                    raise SearchBudgetExceeded(
+                        f"search exceeded {max_states} states (visited={visited})",
+                        resource=STATES,
+                    )
+                if ticking and visited % check_interval == 0:
+                    if on_progress is not None:
+                        stats.states_visited, stats.actions_tried = visited, tried
+                        stats.memo_hits, stats.dead_ends = memo_hits, dead_ends
+                        stats.hoisted, stats.memo_suppressed = hoisted, suppressed
+                        on_progress(stats)
+                    if deadline is not None and time.monotonic() >= deadline:
+                        stats.termination = TERMINATED_DEADLINE
+                        raise SearchBudgetExceeded(
+                            f"search deadline expired after {visited} states",
+                            resource=DEADLINE,
+                        )
+                if ended == full:
+                    found = True
+                    break
+
+                # ---- its enabled actions: a singleton when a free action
+                # exists (partial-order reduction, see module docstring).
+                # Begins and atomic executions come first, in eid order,
+                # then the ends of begun interval events.
+                acts: List[int] = []
+                hoist = _BRANCH
+                m = 0 if dead else ready & ~(blocked & ~interval)
+                ends = False
+                while True:
+                    if not m:
+                        if ends or dead or begun == ended:
+                            break
+                        ends, m = True, begun & ~ended & ~blocked
+                        continue
+                    low = m & -m
+                    m ^= low
+                    eid = low.bit_length() - 1
+                    if ends:
+                        act = eid << 2 | _END
+                    else:
+                        if low & special:
+                            g = begin_gates.get(eid)
+                            if g is not None and (g[0] & ~begun or g[1] & ~ended):
+                                continue
+                        if low & interval:
+                            if reduce_free:
+                                # begins have no effect and enable
+                                # nothing but their own end: free AND
+                                # persistent
+                                hoisted += 1
+                                acts = [eid << 2]
+                                hoist = _HOIST_PERSISTENT
+                                break
+                            acts.append(eid << 2)
+                            continue
+                        act = eid << 2 | _ATOMIC
+                    if low & special:
+                        if join_need[eid] & ~ended:
+                            continue
+                        g = end_gates.get(eid)
+                        if g is not None and (g[0] & ~(begun | low) or g[1] & ~ended):
+                            continue
+                    if reduce_free and (
+                        low & free_static
+                        or _popcount(free_need[eid] & ~ended) <= (
+                            sem_field[obj_of[eid]] & counts >> sem_shift[obj_of[eid]]
+                            if effect[eid] == _EFFECT_P else 0
+                        )
+                    ):
+                        hoisted += 1
+                        acts = [act]
+                        if por_sleep and sync_dep[eid] & ~ended:
+                            hoist = _HOIST_WAKE
+                        else:
+                            hoist = _HOIST_PERSISTENT
+                        break
+                    acts.append(act)
+                if acts:
+                    failing = False
+                    branching = profile is not None and len(acts) > 1
+                    explored = 0
+                    idx = 0
+                else:
+                    failing = True
+                    dead_ends += 1
+                    if profile is not None:
+                        profile.charge_dead_end(profile_stack[-1])
+
+                # ---- pick the next child to descend into, backtracking
+                # through failed frames
+                while True:
+                    if failing:
+                        if not stack:
+                            break
+                        (begun, ended, varmask, counts, ready, blocked, sleep, acts,
+                         hoist, idx, explored, branching, act, child, child_sleep,
+                         mark) = stack.pop()
+                        failing = False
+                        bit = 1 << (act >> 2)
+                        if branching:
+                            profile_stack.pop()
+                            profile.charge_backtrack(profile_keys[act >> 2])
+                        explored |= bit
+                        path.pop()
+                        if memoize:
+                            # a subtree that never consulted its sleep set
+                            # failed unconditionally: store mask 0 so the
+                            # entry is reusable under any future sleep set
+                            entry = child_sleep if consults != mark else 0
+                            prev = failed.get(child)
+                            if prev is None:
+                                if memo_cap is None or len(failed) < memo_cap:
+                                    failed[child] = entry
+                                else:
+                                    suppressed += 1
+                            elif not (entry & ~prev):
+                                # strictly stronger (subset) fact: replace
+                                failed[child] = entry
+                    if idx == len(acts):
+                        failing = True
+                        continue
+                    act = acts[idx]
+                    idx += 1
+                    eid = act >> 2
+                    bit = 1 << eid
+                    if por_sleep:
+                        if hoist == _HOIST_WAKE:
+                            # the hoist is exact but not persistent: a
+                            # dependent partner may run before eid on some
+                            # completion, so wake every sleeper below
+                            child_sleep = 0
+                        elif sleep & bit:
+                            consults += 1
+                            if hoist:
+                                # persistent singleton asleep: every
+                                # completion from here starts with an
+                                # action a sibling branch already covered
+                                failing = True
+                            continue
+                        else:
+                            child_sleep = (sleep | explored) & indep[eid]
+                    else:
+                        child_sleep = 0
+                    tried += 1
+
+                    # the child state.  Dead ends need no full rescan: the
+                    # parent was not one, and only a Clear (its variable)
+                    # or a binary V (its semaphore) can make one.
+                    c_begun, c_ended, c_ready = begun | bit, ended, ready & ~bit
+                    c_varmask, c_counts, c_blocked, c_dead = varmask, counts, blocked, False
+                    eff = _NO_EFFECT
+                    if act & 3 != _BEGIN:
+                        c_ended |= bit
+                        for succ_bit, succ_pre in begin_succ[eid]:
+                            if not (succ_pre & ~c_ended):
+                                c_ready |= succ_bit
+                        eff, obj = effect[eid], obj_of[eid]
+                    if eff == _EFFECT_P:
+                        c_counts = counts - (1 << sem_shift[obj])
+                        if not (c_counts >> sem_shift[obj]) & sem_field[obj]:
+                            c_blocked = blocked | p_mask[obj]
+                    elif eff == _EFFECT_V:
+                        count = (counts >> sem_shift[obj]) & sem_field[obj]
+                        # a binary V leaves the count at 1
+                        c_counts = counts + ((1 - count if binary else 1) << sem_shift[obj])
+                        if not count:
+                            c_blocked = blocked & ~p_mask[obj]
+                        if binary:
+                            p_left = _popcount(p_mask[obj] & ~c_ended)
+                            c_dead = p_left > 1 + _popcount(v_mask[obj] & ~c_ended)
+                    elif eff == _EFFECT_POST:
+                        c_varmask = varmask | 1 << obj
+                        c_blocked = blocked & ~wait_mask[obj]
+                    elif eff == _EFFECT_CLEAR:
+                        c_varmask = varmask & ~(1 << obj)
+                        c_blocked = blocked | wait_mask[obj]
+                        c_dead = not post_mask[obj] & ~c_ended and bool(wait_mask[obj] & ~c_ended)
+                    child = (c_begun, c_ended, c_varmask, c_counts)
+                    if memoize:
+                        prev = failed.get(child)
+                        if prev is not None and not (prev & ~child_sleep):
+                            memo_hits += 1
+                            if prev:
+                                consults += 1
+                            explored |= bit
+                            continue
+                    path.append(act)
+                    if branching:
+                        choice_key = profile_keys[eid]
+                        profile.charge_choice(choice_key)
+                        profile_stack.append(choice_key)
+                    stack.append((
+                        begun, ended, varmask, counts, ready, blocked, sleep, acts,
+                        hoist, idx, explored, branching, act, child, child_sleep,
+                        consults,
+                    ))
+                    begun, ended, varmask, counts = child
+                    ready, blocked, sleep, dead = c_ready, c_blocked, child_sleep, c_dead
+                    break
+                if failing:
+                    break
         finally:
-            sys.setrecursionlimit(old_limit)
+            stats.states_visited, stats.actions_tried = visited, tried
+            stats.memo_hits, stats.dead_ends = memo_hits, dead_ends
+            stats.hoisted, stats.memo_suppressed = hoisted, suppressed
             stats.elapsed += time.monotonic() - t0
             # guarantee at least one progress tick per search: short
             # searches never hit the amortized interval above, and
@@ -846,18 +910,9 @@ class FeasibilityEngine:
             if on_progress is not None:
                 on_progress(stats)
         stats.found = found
-        return list(path) if found else None
-
-    @staticmethod
-    def _end_ok(eid, ended, varmask, counts, kind, sem_of, var_of, join_need) -> bool:
-        k = kind[eid]
-        if k is EventKind.SEM_P:
-            return counts[sem_of[eid]] > 0
-        if k is EventKind.WAIT:
-            return bool((varmask >> var_of[eid]) & 1)
-        if k is EventKind.JOIN:
-            return not (join_need[eid] & ~ended)
-        return True
+        if not found:
+            return None
+        return [Point(act >> 2, is_end) for act in path for is_end in _POINTS[act & 3]]
 
     # ------------------------------------------------------------------
     # convenience wrappers

@@ -202,10 +202,6 @@ class StatusBoard:
                 self._merged_profile = SearchProfile()
             self._merged_profile.merge(snapshot)
 
-    def finish(self, state: str = "done") -> None:
-        self._state = state
-        self.publish()
-
     # -- the slot --------------------------------------------------------
     def publish(self) -> None:
         """Build a fresh snapshot and swing the slot to it (one atomic

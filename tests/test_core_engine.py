@@ -1,6 +1,7 @@
 """Unit + property tests for the feasibility engine."""
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,30 @@ class TestConstraints:
             constraints=[(end_point(y), end_point(x))]
         )
         assert pts.index(Point(y, True)) < pts.index(Point(x, True))
+
+
+@pytest.fixture(scope="module")
+def long_chain():
+    b = ExecutionBuilder()
+    p = b.process("p")
+    for _ in range(2000):
+        p.skip()
+    return b.build()
+
+
+class TestDeepSearch:
+    @pytest.mark.parametrize("por", ["sleep", "off"])
+    def test_long_chain_needs_no_recursion_limit(self, monkeypatch, long_chain, por):
+        # the search keeps its own stack: a depth far past the default
+        # recursion limit must not touch the interpreter's
+        def refuse(limit):
+            raise AssertionError(f"search changed the recursion limit to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        stats = SearchStats()
+        pts = FeasibilityEngine(long_chain, por=por).search(stats=stats)
+        assert pts == [Point(e, end) for e in range(2000) for end in (False, True)]
+        assert stats.states_visited == 2001
 
 
 class TestBudgetAndStats:

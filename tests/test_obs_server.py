@@ -109,7 +109,7 @@ class TestStatusBoard:
         assert snap["eta_seconds"] is not None
         board.pair_done(_C("infeasible"))
         board.pair_done(_C("infeasible"))
-        board.finish("done")
+        board.set_state("done")
         snap = board.latest()
         assert snap["state"] == "done"
         assert snap["pairs"]["done"] == snap["pairs"]["total"] == 4
@@ -279,7 +279,7 @@ class TestObsServer:
                 _get(srv.url("/readyz"))
             assert excinfo.value.code == 503
             assert _get(srv.url("/healthz"))[0] == 200
-            board.finish("done")
+            board.set_state("done")
             assert _get(srv.url("/readyz"))[0] == 200
 
     def test_unknown_path_is_404(self):
@@ -726,7 +726,7 @@ class TestServedLiveScan:
             report = RaceDetector(exe).feasible_races(
                 runner=scanner, on_classified=board.pair_done
             )
-            board.finish("done")
+            board.set_state("done")
             _, body = _get(srv.url("/status"))
             final = json.loads(body)
             stop.set()
@@ -756,7 +756,7 @@ class TestServedLiveScan:
         RaceDetector(exe).feasible_races(
             runner=scanner, on_classified=board.pair_done, profile=profile
         )
-        board.finish("done")
+        board.set_state("done")
         assert board.latest()["profile"] == profile.snapshot()
 
 
