@@ -10,8 +10,8 @@ delegating to the solver portfolio's
    -- linear, always sound;
 2. the **observed schedule** -- a known member of ``F``, so its
    completion order soundly decides could-complete-before queries;
-3. the **HMW counting phases** (semaphore executions only) --
-   polynomial, sound;
+3. the **HMW counting phases** (semaphore executions under SC only)
+   -- polynomial, sound;
 4. the **exact engine**, bounded by ``max_states`` / a
    :class:`~repro.budget.Budget` per query.
 
@@ -33,7 +33,6 @@ from repro.core.queries import OrderingQueries
 from repro.model.execution import ProgramExecution
 from repro.solve.backends import BEST_EFFORT_PLAN
 from repro.solve.planner import QueryPlanner
-from repro.util.relations import BinaryRelation
 
 
 class BestEffortOrdering:
@@ -44,7 +43,6 @@ class BestEffortOrdering:
         exe: ProgramExecution,
         *,
         max_states: Optional[int] = 50_000,
-        use_hmw: bool = True,
         budget: Optional[Budget] = None,
         queries: Optional[OrderingQueries] = None,
     ) -> None:
@@ -54,17 +52,10 @@ class BestEffortOrdering:
         )
         self.decided_by: Dict[Tuple[int, int], str] = {}
         self.exhausted: Dict[Tuple[int, int], Optional[str]] = {}
-        plan = BEST_EFFORT_PLAN
-        if not use_hmw:
-            plan = tuple(name for name in plan if name != "hmw")
         # shares the queries object's SolveContext, so structural
         # bitsets, the validated observed schedule and any witnesses the
         # exact paths found are reused rather than recomputed
-        self.planner = QueryPlanner(self.queries.ctx, plan)
-        self._observed_pos: Optional[Dict[int, int]] = self.queries.ctx.observed_pos
-        self._hmw_relation: Optional[BinaryRelation] = (
-            self.queries.ctx.hmw_relation() if use_hmw else None
-        )
+        self.planner = QueryPlanner(self.queries.ctx, BEST_EFFORT_PLAN)
 
     # ------------------------------------------------------------------
     def mcb(self, a: int, b: int) -> Optional[bool]:

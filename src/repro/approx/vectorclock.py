@@ -25,10 +25,10 @@ Program order is threaded as the adjacent SC chain regardless of the
 execution's memory model: the clocks describe the *observed* serial
 schedule, in which every event did complete before its successor
 began.  As a must-ordering approximation under a relaxed model this is
-unsound, which is why the ``vc`` planner backend declares
-``supported_models = {"sc"}``; the apparent-race detector keeps using
-it under every model because "apparent" is by definition a statement
-about the observed pairing, not about ``F``.
+unsound, and it is not a planner tier under any model (everything it
+confirms, the observed schedule confirms too); the apparent-race
+detector uses it under every model because "apparent" is by definition
+a statement about the observed pairing, not about ``F``.
 """
 
 from __future__ import annotations

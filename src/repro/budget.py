@@ -198,13 +198,13 @@ def clamp_request(
 class Verdict:
     """A three-valued query answer with provenance.
 
-    ``provenance`` names the layer that settled the answer: ``"exact"``
-    (the search completed), ``"structural"`` (reachability alone),
-    ``"observed"`` (the observed schedule is a member of ``F`` and
-    witnesses/refutes the query), ``"hmw"`` (the counting phases), or
-    ``"trivial"`` (degenerate ``a == b`` cases).  When the truth is
-    ``UNKNOWN``, ``resource`` records what ran out (``"states"`` or
-    ``"deadline"``).
+    ``provenance`` names the planner tier that settled the answer:
+    ``"structural"`` (reachability alone), ``"observed"`` (the observed
+    schedule witnesses the query), ``"witness"`` (a member of ``F`` an
+    earlier query found), ``"hmw"`` (the counting phases), ``"exact"``
+    (the engine's search completed), or ``"trivial"`` (degenerate
+    ``a == b`` cases).  When the truth is ``UNKNOWN``, ``resource``
+    records what ran out (``"states"`` or ``"deadline"``).
     """
 
     truth: Truth

@@ -103,7 +103,7 @@ from repro.reductions import (
 from repro.sat.cnf import parse_dimacs
 from repro.sat.dpll import solve
 from repro.serve import QueryDaemon, WitnessStore
-from repro.solve import BEST_EFFORT_PLAN, DEFAULT_PLAN, resolve_plan
+from repro.solve import DEFAULT_PLAN, resolve_plan
 from repro.supervise import (
     CheckpointJournal,
     JournalError,
@@ -168,9 +168,6 @@ def _budget_from_args(args: argparse.Namespace) -> Optional[Budget]:
     return Budget.of(max_states=max_states, timeout=timeout)
 
 
-_NAMED_PLANS = {"default": DEFAULT_PLAN, "best-effort": BEST_EFFORT_PLAN}
-
-
 def _start_server(port: int):
     """Bind the live ``--serve`` endpoint, loudly and eagerly.
 
@@ -206,23 +203,19 @@ def _save_profile(profile: SearchProfile, path: str) -> None:
 
 
 def _plan_from_args(args: argparse.Namespace):
-    """The portfolio tier ladder from --plan / --backends (or None).
+    """The portfolio tier ladder from --backends (or None: the default).
 
-    ``--backends`` (an explicit comma-separated ladder) wins over
-    ``--plan`` (a named preset).  Unknown backend names raise
-    ``ValueError``, which main() turns into exit status 2.
+    Unknown backend names raise ``ValueError``, which main() turns into
+    exit status 2.
     """
     backends = getattr(args, "backends", None)
-    if backends:
-        names = tuple(n.strip() for n in backends.split(",") if n.strip())
-        if not names:
-            raise ValueError("--backends needs at least one backend name")
-        resolve_plan(names)  # validate eagerly for a one-line diagnostic
-        return names
-    plan = getattr(args, "plan", None)
-    if plan:
-        return _NAMED_PLANS[plan]
-    return None
+    if not backends:
+        return None
+    names = tuple(n.strip() for n in backends.split(",") if n.strip())
+    if not names:
+        raise ValueError("--backends needs at least one backend name")
+    resolve_plan(names)  # validate eagerly for a one-line diagnostic
+    return names
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +278,14 @@ def _analyze_pair_budgeted(
     return 0
 
 
+def _event_id(exe, label: str) -> int:
+    """The id of the event labelled ``label``; an unknown label raises
+    ``ValueError``, which main() turns into exit status 2."""
+    if label not in exe.labels:
+        raise ValueError(f"no event labelled {label!r} in the execution")
+    return exe.by_label(label).eid
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     exe = serialize.load(args.execution)
     if args.memory_model is not None:
@@ -296,7 +297,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     plan = _plan_from_args(args)
     if args.pair:
         la, lb = args.pair
-        a, b = exe.by_label(la).eid, exe.by_label(lb).eid
+        a, b = _event_id(exe, la), _event_id(exe, lb)
         q = OrderingQueries(
             exe, include_dependences=not args.ignore_deps, budget=budget,
             plan=plan, por=args.por,
@@ -463,7 +464,7 @@ def _feasible_scan(
                 max_states=args.max_states,
                 per_pair_max_states=args.per_pair_states,
                 # the *resolved* ladder: --resume under a different
-                # --plan/--backends must be refused, not silently mix
+                # --backends must be refused, not silently mix
                 # verdicts of different strength
                 plan=plan if plan is not None else DEFAULT_PLAN,
                 # likewise --por: reduction changes what fits a states
@@ -943,12 +944,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="state budget per search; undecided queries print UNKNOWN")
     p.add_argument("--timeout", type=float, default=None,
                    help="wall-clock budget in seconds shared by all searches")
-    p.add_argument("--plan", choices=sorted(_NAMED_PLANS),
-                   help="named solver-portfolio tier ladder for --pair "
-                   "queries (implies the three-valued verdict path)")
     p.add_argument("--backends", metavar="NAMES",
-                   help="explicit comma-separated tier ladder, e.g. "
-                   "'structural,observed,engine' (overrides --plan)")
+                   help="comma-separated solver-portfolio tier ladder for "
+                   "--pair queries, e.g. 'structural,observed,engine' "
+                   "(implies the three-valued verdict path)")
     p.add_argument("--por", choices=("sleep", "hoist", "off"),
                    default="sleep",
                    help="exact-engine partial-order reduction: 'sleep' "
@@ -1006,12 +1005,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save", metavar="REPORT",
                    help="write the feasible-scan RaceReport as JSON "
                    "(implies --feasible)")
-    p.add_argument("--plan", choices=sorted(_NAMED_PLANS),
-                   help="named solver-portfolio tier ladder for the "
-                   "feasible scan")
     p.add_argument("--backends", metavar="NAMES",
-                   help="explicit comma-separated tier ladder, e.g. "
-                   "'structural,observed,witness,engine' (overrides --plan)")
+                   help="comma-separated solver-portfolio tier ladder for "
+                   "the feasible scan, e.g. "
+                   "'structural,observed,witness,engine'")
     p.add_argument("--por", choices=("sleep", "hoist", "off"),
                    default="sleep",
                    help="exact-engine partial-order reduction for the "
@@ -1104,11 +1101,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drain-grace", type=float, default=10.0,
                    help="seconds to let in-flight requests finish on "
                    "SIGTERM/Ctrl-C (default 10)")
-    p.add_argument("--plan", choices=sorted(_NAMED_PLANS),
-                   help="named solver-portfolio tier ladder for workers")
     p.add_argument("--backends", metavar="NAMES",
-                   help="explicit comma-separated tier ladder "
-                   "(overrides --plan)")
+                   help="comma-separated solver-portfolio tier ladder "
+                   "for workers")
     p.add_argument("--store-max-executions", type=int, default=None,
                    metavar="N",
                    help="cap on stored executions; past it the "

@@ -13,16 +13,9 @@ tiers, cheapest first, and what each may soundly conclude:
 ``witness``     the cross-query cache: confirms feasibility/CHB/CCB
                 by replaying known members of ``F``, and CCW via the
                 adjacent-swap widening -- the planner's hot path
-``vc``          vector clocks on the observed run: confirms CHB/CCB
-                (a sub-relation of ``observed``; registered for
-                ``--backends`` experiments)
 ``hmw``         the Helmbold/McDowell/Wang counting phases
                 (semaphore/no-sync styles): refute CHB/CCB, confirm
                 CCB, and prove infeasibility
-``taskgraph``   the EGP task graph (sync events only; registered
-                for experiments, not in the default ladder)
-``sat``         the partial-order CNF encoding + budgeted DPLL: an
-                exact alternative for feasibility/CHB/CCB
 ``engine``      the exact interval-search engine: decides everything
                 (provenance tag ``"exact"``)
 =============  =====================================================
@@ -31,24 +24,31 @@ Soundness across ``drop`` variants (the race detector's relaxed
 queries) follows two monotonicity facts used throughout: dropping
 dependences only enlarges ``F``, so membership witnesses transfer
 upward (base members answer relaxed queries) and impossibility proved
-without reading ``D`` transfers everywhere (HMW, the task graph).
+without reading ``D`` transfers everywhere (HMW).
 
 Soundness across memory models: ``structural``, ``observed``,
 ``witness`` and ``engine`` consume program order exclusively through
 the execution's model-aware caches (``po_begin_predecessors``, the
 static order graph, schedule replay), so they are correct for every
-registered :mod:`repro.memmodel` model.  ``vc``, ``hmw``, ``taskgraph``
-and ``sat`` reason from sequentially consistent program order directly
-and declare ``supported_models = {"sc"}``; the planner skips them for
-executions under any other model instead of letting them answer wrong.
+registered :mod:`repro.memmodel` model.  ``hmw`` reasons from
+sequentially consistent program order directly, so
+:meth:`~repro.solve.context.SolveContext.hmw_relation` treats any other
+model as out of scope, like event variables and binary semaphores: the
+tier then declines every query instead of answering wrong.
+
+The paper's other polynomial comparison methods (vector clocks, the
+EGP task graph, the order-SAT encoding) are not tiers: no default
+ladder ran them, and none decided a query the tiers above leave open.
+The Section 4 benchmarks drive them directly through
+:mod:`repro.approx` and :mod:`repro.encoding`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
-from repro.budget import Budget, Verdict
+from repro.budget import Verdict
 from repro.core.engine import SearchBudgetExceeded, begin_point, end_point
 from repro.core.witness import Witness
 from repro.solve.context import SolveContext
@@ -172,33 +172,6 @@ class WitnessBackend(Backend):
         return _timed(self, Verdict.true(self.name, witness=w, stats=ctx.stats), t0)
 
 
-class VectorClockBackend(Backend):
-    """Vector clocks over the observed run (confirmation only).
-
-    Clock order is a sub-relation of the observed schedule's temporal
-    order, so everything it confirms the ``observed`` tier confirms
-    too; it is registered so ``--backends`` experiments can measure
-    exactly that containment.
-    """
-
-    name = "vc"
-    # clock increments follow adjacent SC program order
-    supported_models: FrozenSet[str] = frozenset({"sc"})
-
-    def answer(self, query, ctx, *, budget=None, max_states=None):
-        t0 = time.monotonic()
-        vc = ctx.vector_clocks()
-        if vc is None or ctx.observed_witness() is None:
-            return None
-        if query.relation in (CHB, CCB) and vc.happened_before(query.a, query.b):
-            return _timed(
-                self,
-                Verdict.true(self.name, witness=ctx.observed_witness(), stats=ctx.stats),
-                t0,
-            )
-        return None
-
-
 class HMWBackend(Backend):
     """The Helmbold/McDowell/Wang counting phases (semaphore styles).
 
@@ -212,9 +185,6 @@ class HMWBackend(Backend):
     """
 
     name = "hmw"
-    # the counting phases propagate orderings along adjacent SC
-    # program order; a refutation derived that way is wrong under TSO
-    supported_models: FrozenSet[str] = frozenset({"sc"})
 
     def answer(self, query, ctx, *, budget=None, max_states=None):
         t0 = time.monotonic()
@@ -234,109 +204,6 @@ class HMWBackend(Backend):
                 self, Verdict.true(self.name, witness=witness, stats=ctx.stats), t0
             )
         return None
-
-
-class TaskGraphBackend(Backend):
-    """The EGP task graph (synchronization events only).
-
-    Path existence claims a guaranteed completion ordering; the graph
-    never reads ``D``, so conclusions transfer to every ``drop``.
-    Registered for ``--backends`` experiments (the benchmarks measure
-    its blind spots against the exact baseline); not in any default
-    ladder.
-    """
-
-    name = "taskgraph"
-    # graph construction threads SC program order between sync events
-    supported_models: FrozenSet[str] = frozenset({"sc"})
-
-    def answer(self, query, ctx, *, budget=None, max_states=None):
-        t0 = time.monotonic()
-        if query.relation not in (CHB, CCB):
-            return None
-        tg = ctx.taskgraph()
-        if tg is None:
-            return None
-        a, b = query.a, query.b
-        if not (
-            ctx.exe.event(a).kind.is_synchronization
-            and ctx.exe.event(b).kind.is_synchronization
-        ):
-            return None
-        if tg.guaranteed_ordering(b, a):
-            return _timed(self, Verdict.false(self.name, stats=ctx.stats), t0)
-        if query.relation == CCB and ctx.feasible is True and tg.guaranteed_ordering(a, b):
-            witness = ctx.witnesses.find_ccb(a, b, query.drop)
-            return _timed(
-                self, Verdict.true(self.name, witness=witness, stats=ctx.stats), t0
-            )
-        return None
-
-
-class SatBackend(Backend):
-    """The partial-order CNF encoding solved by budgeted DPLL.
-
-    Exact for feasibility/CHB/CCB via the serialization lemma (each is
-    "does a legal *serial* schedule exist, optionally with ``a``
-    ordered before ``b``"); declines CCW, which is not expressible as
-    a serial-order constraint.  Satisfying models decode to serial
-    schedules that are cached like any other witness.  Counting
-    semantics only (the encoding has no binary-semaphore clamping).
-    """
-
-    name = "sat"
-    # the CNF encodes the adjacent SC program-order chain as hard
-    # clauses, so its refutations do not hold under relaxed models
-    supported_models: FrozenSet[str] = frozenset({"sc"})
-
-    def __init__(self) -> None:
-        self._encoders: Dict[Tuple, object] = {}
-
-    def _encoder(self, ctx: SolveContext, drop, budget: Optional[Budget]):
-        from repro.encoding.order_sat import OrderSatEncoder
-
-        key = drop
-        enc = self._encoders.get(key)
-        if enc is None or budget is not None:
-            # budgets are per-call, so budgeted encoders are not cached
-            enc = OrderSatEncoder(
-                ctx.execution_for(drop),
-                include_dependences=ctx.include_dependences,
-                budget=budget,
-            )
-            if budget is None:
-                self._encoders[key] = enc
-        return enc
-
-    def answer(self, query, ctx, *, budget=None, max_states=None):
-        from repro.sat.dpll import SolveBudgetExceeded
-
-        t0 = time.monotonic()
-        if ctx.binary_semaphores or query.relation == CCW:
-            return None
-        if budget is None and max_states is not None:
-            budget = Budget(max_states=max_states)
-        try:
-            enc = self._encoder(ctx, query.drop, budget)
-            extra = [] if query.relation == FEASIBLE else [(query.a, query.b)]
-            order = enc.solve(extra)
-        except SolveBudgetExceeded as exc:
-            return _timed(
-                self, Verdict.unknown(resource=exc.resource, stats=ctx.stats), t0
-            )
-        if order is None:
-            return _timed(self, Verdict.false(self.name, stats=ctx.stats), t0)
-        from repro.core.engine import Point
-
-        points = []
-        for eid in order:
-            points.append(Point(eid, False))
-            points.append(Point(eid, True))
-        entry = ctx.witnesses.add(points)
-        witness = entry.witness if entry is not None else None
-        return _timed(
-            self, Verdict.true(self.name, witness=witness, stats=ctx.stats), t0
-        )
 
 
 class EngineBackend(Backend):
@@ -415,10 +282,7 @@ BACKENDS: Dict[str, Type[Backend]] = {
         StructuralBackend,
         ObservedBackend,
         WitnessBackend,
-        VectorClockBackend,
         HMWBackend,
-        TaskGraphBackend,
-        SatBackend,
         EngineBackend,
     )
 }
@@ -453,9 +317,6 @@ __all__ = [
     "StructuralBackend",
     "ObservedBackend",
     "WitnessBackend",
-    "VectorClockBackend",
     "HMWBackend",
-    "TaskGraphBackend",
-    "SatBackend",
     "EngineBackend",
 ]

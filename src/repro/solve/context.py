@@ -13,8 +13,8 @@ computed twice:
 * the validated **observed witness** (the traced schedule replayed
   through the reference semantics once, then reused as a free member
   of ``F``);
-* the lazily built polynomial analyses (HMW counting phases, the EGP
-  task graph, vector clocks);
+* the lazily built HMW counting phases (semaphore and no-sync styles
+  under SC only);
 * one :class:`~repro.core.engine.FeasibilityEngine` per ``drop``
   variant (each engine keeps its own failure memo across queries);
 * the shared :class:`~repro.solve.witnesses.WitnessCache`, and the
@@ -96,22 +96,12 @@ class SolveContext:
             )
             self._touched.append(frozenset(acc.variable for acc in e.accesses))
 
-        self.observed_pos: Optional[Dict[int, int]] = None
-        if exe.observed_schedule is not None:
-            self.observed_pos = {
-                eid: i for i, eid in enumerate(exe.observed_schedule)
-            }
-
         self._observed_witness: Optional[Witness] = None
         self._observed_checked = False
         self._engines: Dict[FrozenSet[Tuple[int, int]], FeasibilityEngine] = {}
         self._hmw_relation = None
         self._hmw_infeasible = False
         self._hmw_checked = False
-        self._taskgraph = None
-        self._taskgraph_checked = False
-        self._vc = None
-        self._vc_checked = False
 
     # ------------------------------------------------------------------
     # structural reachability
@@ -242,19 +232,23 @@ class SolveContext:
 
     def hmw_relation(self):
         """The HMW phase-3 guaranteed completion orderings, or None when
-        the style is out of scope (event variables, binary semaphores)
-        or the counting phases prove the trace infeasible.
+        the execution is out of scope (event variables, binary
+        semaphores, a memory model other than SC) or the counting
+        phases prove the trace infeasible.
 
         The phases read program order, fork/join and semaphore counts
         only -- never ``D`` -- so the relation is sound for every
         ``drop`` variant (it speaks about the larger dependence-free
-        ``F``, a superset of each variant's).
+        ``F``, a superset of each variant's).  They propagate orderings
+        along adjacent SC program order, which TSO relaxes, so under
+        any other model no analysis is built at all.
         """
         if not self._hmw_checked:
             self._hmw_checked = True
-            if not self.binary_semaphores and self.exe.sync_style in (
-                SyncStyle.SEMAPHORE,
-                SyncStyle.NONE,
+            if (
+                self.exe.memory_model == "sc"
+                and not self.binary_semaphores
+                and self.exe.sync_style in (SyncStyle.SEMAPHORE, SyncStyle.NONE)
             ):
                 from repro.approx.hmw import HMWAnalysis, InfeasibleTraceError
 
@@ -270,47 +264,19 @@ class SolveContext:
         self.hmw_relation()
         return self._hmw_infeasible
 
-    def taskgraph(self):
-        """The EGP task graph over synchronization events, or None when
-        it cannot be built for this execution."""
-        if not self._taskgraph_checked:
-            self._taskgraph_checked = True
-            from repro.approx.taskgraph import TaskGraph
-
-            try:
-                self._taskgraph = TaskGraph(self.exe)
-            except ValueError:
-                self._taskgraph = None
-        return self._taskgraph
-
-    def vector_clocks(self):
-        """Vector clocks over the observed schedule, or None without one."""
-        if not self._vc_checked:
-            self._vc_checked = True
-            if self.exe.observed_schedule is not None:
-                from repro.approx.vectorclock import VectorClockAnalysis
-
-                try:
-                    self._vc = VectorClockAnalysis(self.exe)
-                except ValueError:
-                    self._vc = None
-        return self._vc
-
     # ------------------------------------------------------------------
     # exact engines, one per drop variant
     # ------------------------------------------------------------------
-    def execution_for(self, drop: FrozenSet[Tuple[int, int]]) -> ProgramExecution:
-        if not drop or not self.include_dependences:
-            return self.exe
-        return self.exe.with_dependences(self.exe.dependences - drop)
-
     def engine_for(self, drop: FrozenSet[Tuple[int, int]]) -> FeasibilityEngine:
         if not self.include_dependences:
             drop = EMPTY_DROP
         engine = self._engines.get(drop)
         if engine is None:
+            exe = self.exe
+            if drop:
+                exe = exe.with_dependences(exe.dependences - drop)
             engine = FeasibilityEngine(
-                self.execution_for(drop),
+                exe,
                 include_dependences=self.include_dependences,
                 binary_semaphores=self.binary_semaphores,
                 por=self.por,

@@ -185,14 +185,6 @@ class QueryPlanner:
         self.ctx = ctx
         self.plan = tuple(plan)
         self.backends = resolve_plan(self.plan)
-        # backends that cannot reason about this execution's memory
-        # model are skipped up front (never consulted, never tallied):
-        # an SC-only tier answering a TSO query would be unsound, and
-        # a skipped tier beats a silently wrong one
-        model = ctx.exe.memory_model
-        self.active_backends = tuple(
-            b for b in self.backends if model in b.supported_models
-        )
         self.report = PlannerReport()
         self.tracer = tracer  # duck-typed TraceSink (enabled + emit)
         self.board = None  # duck-typed StatusBoard (engine_tick)
@@ -324,7 +316,7 @@ class QueryPlanner:
                 return verdict
         resource: Optional[str] = None
         try:
-            for backend in self.active_backends:
+            for backend in self.backends:
                 ans = backend.answer(
                     query, self.ctx, budget=budget, max_states=max_states
                 )

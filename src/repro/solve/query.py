@@ -93,23 +93,16 @@ class BackendAnswer:
 class Backend:
     """Protocol for one rung of the escalation ladder.
 
-    Implementations answer soundly or decline: a definite verdict must
-    agree with brute-force enumeration over ``F`` (property-tested in
-    ``tests/test_solve_planner.py``).  Backends share all per-execution
+    Implementations answer soundly or decline (``None``, e.g. for an
+    execution out of scope, is neither tallied nor traced): a definite
+    verdict must agree with brute-force enumeration over ``F``
+    (property-tested, each tier alone, in ``tests/test_solve_planner.py``).  Backends share all per-execution
     precomputation through the :class:`~repro.solve.context.SolveContext`
     they are handed and may read/extend its witness cache.
     """
 
     #: registry key, CLI spelling, and the provenance tag of answers
     name: str = "abstract"
-
-    #: memory models whose executions this backend reasons soundly
-    #: about.  Backends whose deductions bake in sequentially
-    #: consistent program order (vector clocks, the HMW counting
-    #: phases, the task graph, the order-SAT encoding) declare
-    #: ``{"sc"}`` and the planner skips them -- rather than letting
-    #: them answer wrong -- when the execution uses another model.
-    supported_models: FrozenSet[str] = frozenset({"sc", "tso"})
 
     def answer(
         self,

@@ -70,6 +70,19 @@ def small_semaphore_executions():
     )
 
 
+def tiny_overlay_executions():
+    """Strategy: computation overlays with shared-data dependences, the
+    shapes TSO can relax (enumeration-tractable: |E| <= 6)."""
+    return st.builds(
+        random_computation_overlay,
+        processes=st.integers(2, 3),
+        events_per_process=st.integers(1, 2),
+        semaphores=st.integers(1, 2),
+        shared_vars=st.integers(1, 2),
+        seed=st.integers(0, 10_000),
+    )
+
+
 def small_event_executions():
     return st.builds(
         random_event_execution,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from repro.approx.combined import BestEffortOrdering
 from repro.core.queries import OrderingQueries
 from repro.model.builder import ExecutionBuilder
-from repro.reductions import semaphore_reduction
+from repro.reductions import event_reduction
 from repro.sat.cnf import CNF
 
 from tests.strategies import medium_semaphore_executions
@@ -42,9 +42,10 @@ class TestLayerSelection:
         assert best.decided_by[(p1, p2)] == "exact"
 
     def test_unknown_under_tiny_budget(self):
-        red = semaphore_reduction(CNF([(1, 1, 1), (-1, -1, -1)]))
-        best = BestEffortOrdering(red.execution, max_states=3, use_hmw=False)
-        # the marker pair needs real search; budget 3 cannot decide it
+        # event style: HMW is out of scope, so the marker pair needs
+        # real search, and budget 3 cannot decide it
+        red = event_reduction(CNF([(1, 1, 1), (-1, -1, -1)]))
+        best = BestEffortOrdering(red.execution, max_states=3)
         assert best.mcb(red.a, red.b) is None
         assert best.decided_by[(red.a, red.b)] == "unknown"
 
@@ -84,6 +85,6 @@ class TestSoundness:
         post = b.process("A").post("v")
         wait = b.process("B").wait("v")
         best = BestEffortOrdering(b.build())
-        assert best._hmw_relation is None
+        assert best.queries.ctx.hmw_relation() is None
         assert best.mcb(post, wait) is True  # exact layer handles it
         assert best.decided_by[(post, wait)] == "exact"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.solve import DEFAULT_PLAN
 
 FIGURE1_SRC = """
 shared X = 0
@@ -169,7 +170,8 @@ class TestBudgetedCli:
 
     def test_analyze_plan_default_decides(self, execution_file, capsys):
         rc = main(["analyze", execution_file, "--pair", "post_left",
-                   "post_right", "--relation", "mhb", "--plan", "default"])
+                   "post_right", "--relation", "mhb", "--backends",
+                   ",".join(DEFAULT_PLAN)])
         assert rc == 0
         assert "MHB(post_left, post_right) = TRUE" in capsys.readouterr().out
 
@@ -229,6 +231,30 @@ class TestCliRobustness:
         assert main(["races", str(path)]) == 2
         err = capsys.readouterr().err
         assert "invalid input" in err and "Traceback" not in err
+
+    def test_unknown_pair_label_exits_2(self, execution_file, capsys):
+        rc = main(["analyze", execution_file, "--pair", "post_left", "nosuch"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'nosuch'" in err and "Traceback" not in err
+        assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("name", ["vc", "taskgraph", "sat"])
+    def test_removed_tier_names_exit_2(self, execution_file, capsys, name):
+        # the paper's comparison methods are not planner tiers
+        assert main(["races", execution_file, "--backends", name]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown backend {name!r}" in err
+        assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("command", ["analyze", "races", "serve"])
+    def test_no_plan_option(self, command, capsys):
+        # --backends is the one ladder option
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--backends" in out and "--plan" not in out
 
     def test_resume_without_checkpoint_exits_2(self, execution_file, capsys):
         assert main(["races", execution_file, "--resume"]) == 2

@@ -14,7 +14,8 @@ swappable.  These tests pin the whole axis:
   under TSO, repaired by a fence -- the acceptance criterion;
 * differential agreement between the planner and brute-force
   enumeration under *both* models;
-* planner gating: a TSO query never reaches an SC-only backend;
+* planner gating: under TSO the SC-only ``hmw`` tier declines every
+  query and the engine answers instead;
 * serialization (version bump, back-compat default, fingerprints);
 * the CLI flag and the daemon's strict model claims.
 """
@@ -44,24 +45,9 @@ from repro.model import serialize
 from repro.model.builder import ExecutionBuilder
 from repro.model.events import EventKind
 from repro.races.detector import FEASIBLE, INFEASIBLE, RaceDetector
-from repro.solve import BACKENDS, DEFAULT_PLAN, QueryPlanner, SolveContext
 
-from hypothesis import strategies as st
+from tests.strategies import tiny_overlay_executions
 
-from repro.workloads.generators import random_computation_overlay
-
-
-def tiny_overlay_executions():
-    """Enumeration-tractable computation overlays (point-schedule
-    enumeration is exponential in 2|E| -- keep |E| <= 6)."""
-    return st.builds(
-        random_computation_overlay,
-        processes=st.integers(2, 3),
-        events_per_process=st.integers(1, 2),
-        semaphores=st.integers(1, 2),
-        shared_vars=st.integers(1, 2),
-        seed=st.integers(0, 10_000),
-    )
 
 LITMUS_SRC = """
 proc A {
@@ -319,41 +305,69 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
-# planner gating
+# planner gating: the SC-only hmw tier declines under TSO
 # ----------------------------------------------------------------------
-class TestPlannerGating:
-    FULL_PLAN = tuple(sorted(BACKENDS))
-    SC_ONLY = frozenset(
-        name for name, b in BACKENDS.items()
-        if "tso" not in b.supported_models
+VP_SRC = """
+sem s = 0
+proc A { V(s) @v }
+proc B { P(s) @p }
+"""
+
+
+def vp_execution(memory_model):
+    trace = run_program(
+        parse_program(VP_SRC), RandomScheduler(0), memory_model=memory_model
     )
+    return trace.to_execution()
 
-    def test_sc_activates_every_backend(self):
-        exe = litmus_execution("sc")
-        planner = QueryPlanner(SolveContext(exe), DEFAULT_PLAN)
-        assert planner.active_backends == planner.backends
 
-    def test_tso_deactivates_sc_only_backends(self):
-        exe = litmus_execution("tso")
-        planner = QueryPlanner(SolveContext(exe), self.FULL_PLAN)
-        active = {b.name for b in planner.active_backends}
-        skipped = {b.name for b in planner.backends} - active
-        assert skipped == {"hmw", "sat", "taskgraph", "vc"}
-        for backend in planner.active_backends:
-            assert "tso" in backend.supported_models
+def infeasible_race_execution():
+    """A conflicting pair behind two P's that one V cannot serve: HMW's
+    counting rules prove ``F`` empty without a search."""
+    b = ExecutionBuilder()
+    a = b.process("A")
+    a.write("x")
+    a.sem_v("s")
+    c = b.process("B")
+    c.sem_p("s")
+    c.sem_p("s")
+    c.write("x")
+    return b.build()
+
+
+class TestPlannerGating:
+    PLAN = ("hmw", "engine")
+
+    def test_sc_hmw_refutes_the_vp_pair(self):
+        exe = vp_execution("sc")
+        labels = by_label(exe)
+        q = OrderingQueries(exe, plan=self.PLAN)
+        v = q.chb_verdict(labels["p"], labels["v"])
+        assert v.is_false and v.provenance == "hmw"
+        assert q.planner.report.tiers["hmw"].answered == 1
+
+    def test_tso_vp_pair_reaches_the_engine(self):
+        exe = vp_execution("tso")
+        labels = by_label(exe)
+        q = OrderingQueries(exe, plan=self.PLAN)
+        v = q.chb_verdict(labels["p"], labels["v"])
+        assert v.is_false and v.provenance == "exact"
+        assert "hmw" not in q.planner.report.tiers
+        assert q.ctx.hmw_relation() is None
 
     def test_tso_scan_report_never_tallies_an_sc_only_tier(self):
-        exe = litmus_execution("tso")
-        report = RaceDetector(exe, plan=self.FULL_PLAN).feasible_races()
-        consulted = set(report.planner.tiers)
-        assert not (consulted & self.SC_ONLY), (
-            f"SC-only tiers consulted under TSO: {consulted & self.SC_ONLY}"
-        )
-        assert report.planner.answered > 0  # the scan still concluded
-
-    def test_every_backend_declares_sc_support(self):
-        for name, backend in BACKENDS.items():
-            assert "sc" in backend.supported_models, name
+        exe = infeasible_race_execution()
+        # non-vacuous: under SC the same scan is settled by hmw
+        sc = RaceDetector(exe, plan=self.PLAN).feasible_races()
+        assert sc.planner.tiers["hmw"].answered > 0
+        tso = RaceDetector(
+            exe.with_memory_model("tso"), plan=self.PLAN
+        ).feasible_races()
+        assert "hmw" not in tso.planner.tiers
+        assert tso.planner.answered > 0  # the scan still concluded
+        assert [c.status for c in tso.classifications] == [
+            c.status for c in sc.classifications
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -489,7 +489,7 @@ class TestCliObservability:
         capsys.readouterr()
         rc = cli_main([
             "races", exe_file, "--checkpoint", journal, "--resume",
-            "--plan", "best-effort",
+            "--backends", "structural,observed,hmw,engine",
         ])
         assert rc == 2
         err = capsys.readouterr().err

@@ -24,21 +24,10 @@ from repro.obs.trace import RecordingSink
 from repro.races.detector import FEASIBLE, RaceDetector
 from repro.workloads.generators import random_computation_overlay
 
+from tests.strategies import tiny_overlay_executions
+
 POR_MODES = ("sleep", "hoist", "off")
 MODELS = ("sc", "tso")
-
-
-def tiny_overlay_executions():
-    """Enumeration-tractable computation overlays with a non-empty D
-    (point-schedule enumeration is exponential in 2|E|: keep |E| <= 6)."""
-    return st.builds(
-        random_computation_overlay,
-        processes=st.integers(2, 3),
-        events_per_process=st.integers(1, 2),
-        semaphores=st.integers(1, 2),
-        shared_vars=st.integers(1, 2),
-        seed=st.integers(0, 10_000),
-    )
 
 
 def small_overlay_executions():

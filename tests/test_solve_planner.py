@@ -14,7 +14,9 @@ These tests pin that contract:
   wire format the supervised pool ships home.
 """
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.budget import Budget
 from repro.core.enumerate import relations_by_enumeration
@@ -41,6 +43,7 @@ from repro.solve import (
 from tests.strategies import (
     small_event_executions,
     small_semaphore_executions,
+    tiny_overlay_executions,
 )
 
 
@@ -63,9 +66,9 @@ def conflict_execution():
 # soundness: the planner agrees with brute-force enumeration
 # ----------------------------------------------------------------------
 class TestAgreesWithEnumeration:
-    def check(self, exe):
+    def check(self, exe, plan=DEFAULT_PLAN):
         ref = relations_by_enumeration(exe)
-        planner = fresh_planner(exe)
+        planner = fresh_planner(exe, plan=plan)
         for a in range(len(exe)):
             for b in range(len(exe)):
                 if a == b:
@@ -87,6 +90,21 @@ class TestAgreesWithEnumeration:
     @settings(max_examples=20, deadline=None)
     def test_event_executions(self, exe):
         self.check(exe)
+
+    @pytest.mark.parametrize("tier", sorted(set(BACKENDS) - {"engine"}))
+    @given(
+        exe=st.one_of(
+            small_semaphore_executions(),
+            small_event_executions(),
+            tiny_overlay_executions(),
+        ),
+        model=st.sampled_from(("sc", "tso")),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_each_tier_alone_is_sound(self, tier, exe, model):
+        """Each tier answers first, with only the engine behind it, so
+        no cheaper tier can mask a wrong definite answer."""
+        self.check(exe.with_memory_model(model), plan=(tier, "engine"))
 
     @given(small_semaphore_executions())
     @settings(max_examples=10, deadline=None)
@@ -222,9 +240,10 @@ class TestPlans:
             raise AssertionError("expected ValueError")
 
     def test_registry_covers_every_strategy(self):
-        for name in ("structural", "observed", "witness", "vc", "hmw",
-                     "taskgraph", "sat", "engine"):
-            assert name in BACKENDS
+        assert set(BACKENDS) == {
+            "structural", "observed", "witness", "hmw", "engine",
+        }
+        assert set(DEFAULT_PLAN) == set(BACKENDS)
 
     def test_named_plans_resolve(self):
         assert len(resolve_plan(DEFAULT_PLAN)) == len(DEFAULT_PLAN)
