@@ -15,8 +15,8 @@ detector (vector clocks on the observed pairing) and the exact
 * cost columns show the price of exactness growing with conflicting
   pairs, while the apparent detector stays flat;
 * a ``jobs=2`` column scans the same pairs through the crash-isolated
-  worker pool -- identical classifications, and the spawn overhead
-  shows exactly when parallelism starts paying (many/hard pairs, not
+  worker pool -- identical classifications, and the worker start-up
+  overhead shows when parallelism starts paying (many/hard pairs, not
   these toy widths).
 """
 

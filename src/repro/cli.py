@@ -107,6 +107,7 @@ from repro.solve import DEFAULT_PLAN, resolve_plan
 from repro.supervise import (
     CheckpointJournal,
     JournalError,
+    PoolBootFailure,
     ResourceLimits,
     RetryPolicy,
     SupervisedScanner,
@@ -1174,8 +1175,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "failpoints", None):
-        # arm before any subcommand work (and export to the environment,
-        # so spawn-context workers inherit the schedule)
+        # arm before any subcommand work (and export to the environment:
+        # each pool worker is handed the schedule as it starts)
         try:
             faults_mod.arm(args.failpoints)
         except faults_mod.FaultSpecError as exc:
@@ -1204,6 +1205,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except JournalError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except PoolBootFailure as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
     except json.JSONDecodeError as exc:
         print(f"repro: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE

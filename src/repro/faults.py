@@ -11,10 +11,9 @@ consult at a **named failpoint**::
     ...
     faults.fire("fileio.fsync")      # no-op unless a schedule arms it
 
-Armed via the ``REPRO_FAILPOINTS`` environment variable (inherited by
-spawned worker processes, so one schedule drives the whole process
-tree) or programmatically (:func:`arm`), a schedule is a ``;``-separated
-list of clauses::
+Armed via the ``REPRO_FAILPOINTS`` environment variable or
+programmatically (:func:`arm`, which also exports it there), a schedule
+is a ``;``-separated list of clauses::
 
     REPRO_FAILPOINTS='store.flush=enospc@first=2;fileio.replace=eio@nth=3'
 
@@ -56,6 +55,14 @@ Cost when idle: :func:`fire` is one global load, one attribute load and
 one falsy check -- no locks, no string parsing, nothing allocated.
 Production binaries run with the registry empty; arming it is always an
 explicit act (env var or hidden CLI flag).
+
+One schedule drives the whole process tree.  A child started from a
+fresh interpreter arms itself from the inherited ``REPRO_FAILPOINTS``
+at import.  A pool worker forked from a long-lived forkserver would
+inherit the server's (stale) environment and registry instead, so the
+pool hands each worker :func:`schedule` as it stands when that worker
+starts, and the worker calls :func:`adopt` with it before anything can
+fire.
 """
 
 from __future__ import annotations
@@ -321,8 +328,7 @@ class FailpointRegistry:
 
 
 #: the process-wide registry; armed from ``REPRO_FAILPOINTS`` at import
-#: so spawned workers (which re-import this module with the inherited
-#: environment) join the schedule automatically
+#: so a child process started with that environment joins the schedule
 REGISTRY = FailpointRegistry()
 _env_spec = os.environ.get("REPRO_FAILPOINTS")
 if _env_spec:
@@ -339,7 +345,7 @@ def fire(point: str, count: Optional[int] = None) -> None:
 
 def arm(spec: str) -> FailpointRegistry:
     """Arm the process-wide registry with ``spec`` (and export it to
-    ``REPRO_FAILPOINTS`` so spawned workers inherit the schedule)."""
+    ``REPRO_FAILPOINTS``, the schedule child processes run under)."""
     os.environ["REPRO_FAILPOINTS"] = spec
     return REGISTRY.arm(spec)
 
@@ -350,13 +356,32 @@ def disarm() -> None:
     REGISTRY.disarm()
 
 
+def schedule() -> Optional[str]:
+    """The schedule in force for child processes started now (``None``
+    when disarmed): ``REPRO_FAILPOINTS``, as :func:`arm` exported it."""
+    return os.environ.get("REPRO_FAILPOINTS") or None
+
+
+def adopt(spec: Optional[str]) -> None:
+    """Run this process under ``spec`` (``None`` disarms) exactly as a
+    process started with ``REPRO_FAILPOINTS=spec`` would: default seed,
+    every hit counter at zero.  Replaces whatever the registry held."""
+    REGISTRY.seed = 0
+    if spec:
+        arm(spec)
+    else:
+        disarm()
+
+
 __all__ = [
     "FailpointRegistry",
     "FaultSpecError",
     "InjectedFault",
     "REGISTRY",
     "Rule",
+    "adopt",
     "arm",
     "disarm",
     "fire",
+    "schedule",
 ]

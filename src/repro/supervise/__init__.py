@@ -6,9 +6,10 @@ the workload where one pathological pair can OOM the host and a crash
 loses hours of results.  This package keeps the *scan* alive even when
 individual searches die:
 
-* :mod:`repro.supervise.pool` -- a worker pool (spawn context, one
-  in-flight pair per worker) that survives segfaults, OOM kills and
-  hangs, replacing dead workers and retrying their pairs;
+* :mod:`repro.supervise.pool` -- a worker pool (workers forked from a
+  preloaded forkserver, one in-flight pair per worker) that survives
+  segfaults, OOM kills and hangs, replacing dead workers and retrying
+  their pairs;
 * :mod:`repro.supervise.rlimits` -- kernel ``setrlimit`` caps so a
   blown search is killed by the OS instead of taking the host down;
 * :mod:`repro.supervise.retry` -- bounded retries with exponential
@@ -25,7 +26,7 @@ from repro.supervise.checkpoint import (
     pair_count,
     scan_fingerprint,
 )
-from repro.supervise.pool import CRASH, SupervisedScanner
+from repro.supervise.pool import CRASH, PoolBootFailure, SupervisedScanner
 from repro.supervise.retry import RetryPolicy
 from repro.supervise.rlimits import CPU, MEMORY, ResourceLimits
 
@@ -36,6 +37,7 @@ __all__ = [
     "pair_count",
     "scan_fingerprint",
     "SupervisedScanner",
+    "PoolBootFailure",
     "RetryPolicy",
     "ResourceLimits",
     "CRASH",

@@ -13,11 +13,25 @@ the resource that killed it (``"crash"``, ``"memory"``, ``"cpu"``,
 ``"deadline"``), a replacement worker is spawned, and the pool keeps
 draining.
 
-Workers are started with the **spawn** context (a fresh interpreter: no
-inherited locks, deterministic across platforms), ignore ``SIGINT`` and
-``SIGTERM`` (the parent owns shutdown), install their ``setrlimit`` caps
-before touching an execution, and receive each execution as its JSON
-document -- the same text a fingerprint covers.
+Workers are forked from the **forkserver** (one per process, started
+by the first pool with the worker modules already imported), so a
+worker is ready in tens of milliseconds instead of the few hundred a
+fresh interpreter takes to import ``repro``.  No lock is inherited: the
+server is a single-threaded interpreter that has started no thread
+when it forks, and the parent's supervisor, queue-feeder and HTTP
+threads run in another process.  Each worker still receives the
+parent's ``sys.path`` and runs its ``__main__`` module as
+``__mp_main__``, as a spawned one does, so a calling script still needs
+its ``if __name__ == "__main__":`` guard.  Workers ignore ``SIGINT``
+and ``SIGTERM`` (the parent owns shutdown), install their ``setrlimit``
+caps before touching an execution, and receive each execution as its
+JSON document -- the same text a fingerprint covers.
+
+Workers that keep dying before they report ready (a schedule that
+crashes every boot, a broken install) end the pool instead of looping:
+after ``2 * workers`` such deaths in a row, with no ready in between,
+it spawns no more and answers every job, queued or later,
+``UNKNOWN (crash)``; a scan then raises :class:`PoolBootFailure`.
 
 Supervision is event-driven: each worker reports over its own result
 pipe (a dying worker can hold no lock another worker needs), and the
@@ -41,9 +55,12 @@ further checkpoint records are written, so the journal tail stays whole
 :mod:`repro.supervise.checkpoint`).
 
 Fault injection uses the process-wide failpoint registry
-(:mod:`repro.faults`), inherited by workers through the spawn
-environment: ``pool.worker.start`` fires once per worker before it
-reports ready (a worker that never boots), ``pool.task`` on every job,
+(:mod:`repro.faults`).  A forked worker's registry and environment are
+the forkserver's, as they were when it started, so each worker is
+handed :func:`repro.faults.schedule` as it stands when that worker
+starts and adopts it first thing: ``pool.worker.start`` fires once per
+worker before it reports ready (a worker that never boots),
+``pool.task`` on every job,
 and ``pool.pair.<a>,<b>`` on every job naming that event pair, counted
 by the job's *attempt* number (which survives worker replacement), so
 ``pool.pair.3,7=segv@first=1`` crashes only the first attempt.
@@ -62,6 +79,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import forkserver
 from multiprocessing.connection import wait as wait_any
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -93,6 +111,11 @@ QUERY_RELATIONS = frozenset(
 
 #: outcome resource when the pool is torn down with the job unfinished
 SHUTDOWN = "shutdown"
+
+
+class PoolBootFailure(RuntimeError):
+    """No worker of a scan's pool could start: ``2 * workers`` of them
+    in a row died before reporting ready."""
 
 
 def _death_resource(exitcode: Optional[int]) -> str:
@@ -132,7 +155,7 @@ def _verdict_payload(verdict) -> Dict[str, Any]:
 def _query_worker_main(task_q, conn, conf) -> None:
     """Worker loop: one query per message, executions by fingerprint,
     results by value over the worker's private ``conn``.  Runs in a
-    spawned interpreter; must stay importable.
+    process forked from the forkserver; must stay importable.
 
     A worker serves many executions over its lifetime: it keeps a small
     LRU of warm :class:`~repro.solve.planner.QueryPlanner` contexts
@@ -147,6 +170,8 @@ def _query_worker_main(task_q, conn, conf) -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns shutdown
     signal.signal(signal.SIGTERM, signal.SIG_IGN)  # ... and drain
+    # the registry came armed (or not) from the forkserver's environment
+    faults_mod.adopt(conf.get("failpoints"))
     limits = conf.get("rlimits")
     apply_limits(ResourceLimits(**limits) if limits is not None else None)
     plan = conf.get("plan")
@@ -294,8 +319,8 @@ class _Worker:
     def arm(self, now: float, wall: Optional[float],
             backstop: Optional[float] = None) -> None:
         """Start the hang clock for a just-dispatched job.  A cold
-        worker's clock starts on its ready message (spawn and import
-        time is machine load, not job difficulty); until then only
+        worker's clock starts on its ready message (start-up time is
+        machine load, not job difficulty); until then only
         ``backstop`` (an absolute time, if any) can kill it."""
         if self.ready:
             self.kill_at = (now + wall) if wall is not None else None
@@ -332,9 +357,53 @@ class _Worker:
         self.task_q.close()
 
 
+#: what the forkserver imports before it forks any worker
+_PRELOAD = ["repro.supervise.pool"]
+_server_lock = threading.Lock()
+_server_started = False
+
+
+def _worker_context():
+    """The ``forkserver`` context, with this process's server running
+    and, where it could, preloaded with the worker modules.
+
+    The server is started here, once, not lazily by the first worker:
+    ``forkserver.main`` is handed the parent's ``sys.path`` but never
+    applies it, so a ``repro`` found only through a caller's
+    ``sys.path.insert`` would fail to preload, silently.  For that one
+    start, the directory ``repro`` was imported from is put in front of
+    ``PYTHONPATH``, and the environment is put back straight after.  A
+    server that another caller already started without the preload (or
+    one restarted after it died) costs each worker a cold import of
+    ``repro`` -- slower, the same answers: the child gets the parent's
+    ``sys.path`` either way."""
+    global _server_started
+    ctx = mp.get_context("forkserver")
+    with _server_lock:
+        if not _server_started:
+            ctx.set_forkserver_preload(_PRELOAD)
+            home = os.path.dirname(
+                os.path.dirname(os.path.abspath(faults_mod.__file__))
+            )
+            saved = os.environ.get("PYTHONPATH")
+            os.environ["PYTHONPATH"] = (
+                home if not saved else home + os.pathsep + saved
+            )
+            try:
+                forkserver.ensure_running()
+            finally:
+                if saved is None:
+                    del os.environ["PYTHONPATH"]
+                else:
+                    os.environ["PYTHONPATH"] = saved
+            _server_started = True
+    return ctx
+
+
 def _start_worker(ctx, uid: int, conf: Dict[str, Any]) -> _Worker:
     task_q = ctx.Queue()
     conn, child_conn = ctx.Pipe(duplex=False)
+    conf = dict(conf, failpoints=faults_mod.schedule())
     proc = ctx.Process(
         target=_query_worker_main, args=(task_q, child_conn, conf), daemon=True
     )
@@ -405,13 +474,17 @@ class QueryWorkerPool:
     """Crash-isolated query evaluation behind a thread-safe
     ``submit``/``result`` surface.
 
-    Spawn-context workers run under kernel rlimits; dead workers are
-    replaced and their job retried under the :class:`RetryPolicy`
-    (jittered backoff keyed by execution and event pair); hangs are
-    killed at a wall deadline; degraded answers are explicitly
-    ``UNKNOWN`` with the resource that ran out.  One supervisor thread
-    drives it all, woken through a pipe by :meth:`submit` and
-    :meth:`close` (so a job is dispatched the moment it arrives).
+    Workers, forked from the preloaded forkserver, run under kernel
+    rlimits; dead workers are replaced and their job retried under the
+    :class:`RetryPolicy` (jittered backoff keyed by execution and event
+    pair); hangs are killed at a wall deadline; degraded answers are
+    explicitly ``UNKNOWN`` with the resource that ran out.  After
+    ``2 * workers`` workers in a row die before reporting ready, the
+    pool spawns no more and answers every unfinished and later job
+    ``UNKNOWN (crash)`` (:attr:`boot_failure` says why).  One
+    supervisor thread drives it all, woken through a pipe by
+    :meth:`submit` and :meth:`close` (so a job is dispatched the moment
+    it arrives).
 
     Budgets and wall kills follow one rule.  A job's deadline is its
     request's ``deadline`` when given (absolute :func:`time.monotonic`,
@@ -468,7 +541,7 @@ class QueryWorkerPool:
         self.wall_grace = wall_grace
         self.context_capacity = context_capacity
 
-        self._ctx = mp.get_context("spawn")
+        self._ctx = _worker_context()
         self._conf = {
             "rlimits": _rlimits_conf(limits),
             "plan": self.plan,
@@ -500,6 +573,12 @@ class QueryWorkerPool:
         self._spawns = 0
         self._restarts = 0
         self._crashes = 0
+        # workers dead before ready since the last ready, and the last
+        # one's exit code; the pool gives up at 2 * workers
+        self._boot_deaths = 0
+        self._boot_exitcode: Optional[int] = None
+        #: why the pool stopped spawning (one line), or None
+        self.boot_failure: Optional[str] = None
         self._thread = threading.Thread(
             target=self._run, name="repro-query-pool", daemon=True
         )
@@ -638,6 +717,15 @@ class QueryWorkerPool:
         self._note({"kind": "worker.spawn", "worker": w.uid})
         return w
 
+    def _may_spawn(self) -> bool:
+        """Whether an empty slot may get a worker: while workers keep
+        dying before ready, only as many as can still reach the
+        ``2 * workers`` limit -- so a pool whose every worker dies at
+        boot starts exactly that many, and one that gave up (at the
+        limit, with no worker left to report ready) starts none."""
+        booting = sum(1 for w in self._slots if w is not None and not w.ready)
+        return self._boot_deaths + booting < 2 * self.workers
+
     def _reap(self, slot: int, resource: str) -> None:
         """Retire the dead worker in ``slot``; a job its pipe (read to
         EOF) did not settle fails with ``resource``."""
@@ -647,6 +735,10 @@ class QueryWorkerPool:
         tid = w.busy_task
         w.dispose()
         self._slots[slot] = None
+        if not w.ready and resource != DEADLINE:
+            # died while booting (a wall kill is ours, not a death)
+            self._boot_deaths += 1
+            self._boot_exitcode = w.proc.exitcode
         if tid is not None:
             with self._lock:
                 self._crashes += 1
@@ -700,6 +792,7 @@ class QueryWorkerPool:
         tid, kind, payload = msg
         if kind == "ready":
             w.mark_ready()
+            self._boot_deaths = 0
             self._note({"kind": "worker.ready", "worker": w.uid})
             return
         w.settle(tid)
@@ -727,11 +820,34 @@ class QueryWorkerPool:
         else:  # "memory" or "error"
             self._fail(tid, MEMORY if kind == "memory" else CRASH)
 
+    def _give_up(self) -> None:
+        """The boot-failure rule tripped: stop the workers still alive
+        and record why; :meth:`_run` answers every job from now on."""
+        self.boot_failure = (
+            f"{self._boot_deaths} pool workers in a row died before "
+            f"reporting ready (last exit code {self._boot_exitcode}); "
+            "no worker could start"
+        )
+        _shutdown(self._slots)
+        for slot in range(self.workers):
+            self._slots[slot] = None
+
     def _run(self) -> None:
         slots = self._slots
         try:
             while True:
                 now = time.monotonic()
+                if self.boot_failure is None and (
+                    self._boot_deaths >= 2 * self.workers
+                ):
+                    self._give_up()
+                if self.boot_failure is not None:
+                    with self._lock:
+                        self._pending.clear()
+                        stranded = [tid for tid, j in self._jobs.items()
+                                    if j.outcome is None]
+                    for tid in stranded:
+                        self._finalize(tid, _unknown_outcome(CRASH))
                 with self._lock:
                     unfinished = any(
                         j.outcome is None for j in self._jobs.values()
@@ -744,9 +860,11 @@ class QueryWorkerPool:
                 for slot in range(self.workers):
                     w = slots[slot]
                     if w is None:
+                        if not self._may_spawn():
+                            continue
                         # keep the bench warm: the first job should not
-                        # pay interpreter spawn time, and a replacement
-                        # must exist before the next crash
+                        # pay worker start time, and a replacement must
+                        # exist before the next crash
                         slots[slot] = w = self._spawn(slot)
                     if w.busy_task is not None or w.retiring:
                         continue
@@ -863,7 +981,11 @@ class SupervisedScanner:
         bounds around every attempt) -- so a parallel scan's trace is
         as complete as a serial one's.
         After :meth:`scan` returns, :attr:`worker_restarts` counts the
-        workers that were replaced after dying.
+        workers that were replaced after dying.  A scan whose workers
+        all die before they report ready raises
+        :class:`PoolBootFailure` (its one-line message names how many
+        and the last exit code) instead of returning every pair
+        ``UNKNOWN (crash)``.
     board:
         A :class:`~repro.obs.server.StatusBoard` (duck-typed:
         ``observe``/``merge_planner``/``merge_profile``).  Every worker
@@ -963,8 +1085,9 @@ class SupervisedScanner:
             a, b, variables = task
             if "classification" not in outcome:
                 # the pool gave up on the pair (crash, memory, deadline);
-                # a drain folds in answers only
-                if answers_only:
+                # a drain folds in answers only, and a pool no worker of
+                # which could start journals nothing a resume would reuse
+                if answers_only or pool.boot_failure is not None:
                     return
                 c = PairClassification(
                     a, b, UNKNOWN, variables, resource=outcome["resource"]
@@ -991,6 +1114,7 @@ class SupervisedScanner:
                 on_classified(c)
 
         interrupted = hard_interrupt = False
+        boot_failure = None
         try:
             pool = _ScanPool(
                 events, options, workers=self.jobs, limits=self.limits,
@@ -1021,6 +1145,7 @@ class SupervisedScanner:
             if pool is not None:
                 pool.close(drain=False)
                 self.worker_restarts = pool.stats()["restarts"]
+                boot_failure = pool.boot_failure
         if hard_interrupt:
             raise KeyboardInterrupt
         # lifecycle records the pool noted after the last result (say,
@@ -1029,6 +1154,8 @@ class SupervisedScanner:
             event = events.get()
             if event["kind"] != "job.done":
                 emit(event)
+        if boot_failure is not None:
+            raise PoolBootFailure(boot_failure)
         results = [done[tid] for tid in sorted(done)]
         snap = tier_report.snapshot()
         if scan_profile is not None:
@@ -1041,6 +1168,7 @@ class SupervisedScanner:
 __all__ = [
     "SupervisedScanner",
     "QueryWorkerPool",
+    "PoolBootFailure",
     "QUERY_RELATIONS",
     "CRASH",
     "SHUTDOWN",

@@ -494,6 +494,32 @@ class TestQueryWorkerPool:
         assert elapsed < 10.0  # deadline + grace, not the 30 s wait
         assert pool.stats()["crashes"] == 1
 
+    def test_workers_that_never_boot_end_the_pool_not_a_loop(self):
+        """Every worker dies before it reports ready: the pool starts
+        ``2 * workers`` of them, then stops spawning and answers the
+        job in flight and every later one ``UNKNOWN (crash)`` at once
+        -- a daemon on such a pool degrades instead of looping."""
+        faults.arm("pool.worker.start=segv")
+        exe = masking_execution(2)
+        pool = QueryWorkerPool(workers=1, retry=RetryPolicy(max_retries=5))
+        try:
+            first = pool.result(pool.submit(_query_request(exe)), timeout=60.0)
+            started = time.monotonic()
+            later = pool.result(pool.submit(_query_request(exe)), timeout=60.0)
+            elapsed = time.monotonic() - started
+            stats = pool.stats()
+        finally:
+            pool.close(drain=False)
+        for outcome in (first, later):
+            assert outcome["verdict"] == "UNKNOWN"
+            assert outcome["resource"] == "crash"
+        assert elapsed < 5.0
+        assert stats["spawns"] == 2
+        assert "2 pool workers in a row died before reporting ready" in (
+            pool.boot_failure
+        )
+        assert "last exit code -11" in pool.boot_failure
+
     def test_crash_then_replacement_never_loses_the_job(self):
         # the regression loop for a lost job after a worker crash; the
         # CI chaos job runs the same loop for 200 iterations

@@ -9,6 +9,7 @@ subprocess tests kill a checkpointed CLI scan outright (SIGKILL /
 SIGINT) and assert the journal makes ``--resume`` exact.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -482,6 +483,145 @@ class TestOnePoolRules:
             c.status == UNKNOWN and c.resource == "deadline"
             for c in report.classifications
         )
+
+
+class TestForkedWorkers:
+    """Workers are forked from one preloaded forkserver per process.
+    The server's environment and registry date from its own start, so
+    the failpoint schedule travels with each worker; a boot that always
+    fails ends the scan; and the preload takes however ``repro`` was
+    found."""
+
+    def test_schedule_armed_after_the_server_started_reaches_workers(self):
+        exe = masking_execution(3)
+        pairs = exe.conflicting_pairs()
+        serial = by_pair(RaceDetector(exe).feasible_races())
+
+        def scan():
+            scanner = SupervisedScanner(jobs=2, retry=RetryPolicy(max_retries=0))
+            return by_pair(RaceDetector(exe).feasible_races(runner=scanner))
+
+        scan()  # leaves this process's forkserver running
+        faults.arm(pair_fault(pairs[0], "segv"))
+        got = scan()
+        assert got[pairs[0]].status == UNKNOWN
+        assert got[pairs[0]].resource == "crash"
+        faults.disarm()
+        got = scan()
+        assert {p: c.status for p, c in got.items()} == {
+            p: c.status for p, c in serial.items()
+        }
+
+    def test_disarm_reaches_workers_of_a_server_started_armed(self, tmp_path):
+        """A fresh process whose forkserver starts while a schedule is
+        armed: the workers of the next scan, after ``disarm``, run
+        clean."""
+        exe = masking_execution(3)
+        exe_path = tmp_path / "exe.json"
+        serialize.save(exe, str(exe_path))
+        pair = exe.conflicting_pairs()[0]
+        script = (
+            "import json, sys\n"
+            "from repro import faults\n"
+            "from repro.model import serialize\n"
+            "from repro.races.detector import RaceDetector\n"
+            "from repro.supervise import RetryPolicy, SupervisedScanner\n"
+            "def scan(exe):\n"
+            "    s = SupervisedScanner(jobs=2, retry=RetryPolicy(max_retries=0))\n"
+            "    r = RaceDetector(exe).feasible_races(runner=s)\n"
+            "    return [[c.a, c.b, c.status, c.resource] for c in r.classifications]\n"
+            "exe = serialize.load(sys.argv[1])\n"
+            f"faults.arm({pair_fault(pair, 'segv')!r})\n"
+            "print(json.dumps(scan(exe)))\n"
+            "faults.disarm()\n"
+            "print(json.dumps(scan(exe)))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("REPRO_FAILPOINTS", None)
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(exe_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        armed, disarmed = map(json.loads, out.stdout.splitlines())
+        assert [pair[0], pair[1], UNKNOWN, "crash"] in armed
+        serial = RaceDetector(exe).feasible_races()
+        assert disarmed == [
+            [c.a, c.b, c.status, c.resource] for c in serial.classifications
+        ]
+
+    @needs_posix_kill
+    def test_workers_that_never_boot_end_the_scan_in_one_line(self, tmp_path):
+        """Every worker segfaults before it reports ready: the scan
+        starts ``2 * jobs`` workers, then exits 1 with one stderr line
+        naming the count and the exit code, and journals no pair as
+        classified.  Kept to three pairs and two
+        jobs, so even a pool without the rule starts only tens of
+        processes."""
+        exe = masking_execution(3)
+        assert len(exe.conflicting_pairs()) <= 3
+        exe_path = tmp_path / "exe.json"
+        serialize.save(exe, str(exe_path))
+        trace = tmp_path / "trace.jsonl"
+        journal = tmp_path / "scan.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "races", str(exe_path),
+             "--jobs", "2", "--failpoints", "pool.worker.start=segv",
+             "--trace", str(trace), "--checkpoint", str(journal)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            _killpg_quietly(proc, signal.SIGKILL)
+        assert proc.returncode == 1
+        lines = err.decode().splitlines()
+        assert lines == [
+            "repro: 4 pool workers in a row died before reporting ready "
+            "(last exit code -11); no worker could start"
+        ]
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert sum(r["kind"] == "worker.spawn" for r in records) <= 4
+        # no pair was answered, so a resume has nothing to reuse
+        assert pair_count(str(journal)) == 0
+
+    def test_preload_takes_without_pythonpath(self, tmp_path):
+        """``forkserver.main`` ignores the parent's ``sys.path``: a
+        caller that finds ``repro`` only through ``sys.path.insert``
+        still gets workers forked with the pool module imported, and
+        its environment back unchanged."""
+        (tmp_path / "probe.py").write_text(
+            "import sys\n"
+            "def report(conn):\n"
+            "    conn.send('repro.supervise.pool' in sys.modules)\n"
+        )
+        (tmp_path / "main.py").write_text(
+            "import multiprocessing, os, sys\n"
+            f"sys.path.insert(0, {SRC_DIR!r})\n"
+            "import probe\n"
+            "if __name__ == '__main__':\n"
+            "    # imported here only: a child runs this file again\n"
+            "    from repro.supervise.pool import QueryWorkerPool\n"
+            "    before = dict(os.environ)\n"
+            "    QueryWorkerPool(workers=1).close()\n"
+            "    ctx = multiprocessing.get_context('forkserver')\n"
+            "    r, w = ctx.Pipe(duplex=False)\n"
+            "    child = ctx.Process(target=probe.report, args=(w,))\n"
+            "    child.start()\n"
+            "    print(r.recv(), dict(os.environ) == before)\n"
+            "    child.join()\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run(
+            [sys.executable, str(tmp_path / "main.py")], cwd=str(tmp_path),
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "True"]
 
 
 class TestRaceWitnessesReplay:
