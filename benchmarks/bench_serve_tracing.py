@@ -29,7 +29,7 @@ import urllib.request
 from conftest import report, table
 
 from repro.model import serialize
-from repro.obs import JsonlTraceSink, iter_trace, summarize_serve_trace
+from repro.obs import JsonlTraceSink, iter_trace, summarize_trace
 from repro.serve import QueryDaemon, WitnessStore
 from repro.workloads.programs import figure1_execution
 
@@ -109,7 +109,7 @@ def run_study():
             out["dropped"] = status["observability"]["trace_dropped"]
         finally:
             traced.close(drain=False)
-        summary = summarize_serve_trace(trace)
+        summary = summarize_trace(trace)
         out["summary_requests"] = dict(summary.requests)
         out["spans"] = sum(1 for _ in iter_trace(trace)) - 1  # minus header
         out["summary_dropped"] = summary.dropped

@@ -15,6 +15,10 @@ Subcommands (also available as ``python -m repro``):
   run counts, deadlocks, event signatures, guaranteed orderings;
 * ``repro trace summarize TRACE.jsonl`` -- re-aggregate a ``--trace``
   file into the same per-tier table the live scan printed;
+* ``repro trace serve-summary TRACE.jsonl`` -- per-endpoint request
+  counts and latency percentiles, the phase breakdown, planner tiers
+  and the slowest requests (with their ids) of a ``repro serve
+  --trace`` file;
 * ``repro trace profile TRACE.jsonl`` -- merge the trace's search
   profile records into the "hot events" table (which orderings the
   exponential search spent its states on);
@@ -87,10 +91,8 @@ from repro.obs import (
     ScanProgress,
     SearchProfile,
     StatusBoard,
-    iter_trace,
     planner_metrics,
     scan_metrics,
-    summarize_serve_trace,
     summarize_trace,
 )
 from repro.races.detector import RaceDetector
@@ -595,155 +597,36 @@ def _feasible_scan(
     return 0
 
 
-def cmd_trace_summarize(args: argparse.Namespace) -> int:
-    """Aggregate a ``--trace`` file back into the same per-tier table
-    the live scan printed (they agree exactly, worker spans included)."""
-    summary = summarize_trace(args.trace_file)
-    print(summary.describe())
-    return 0
+#: ``repro trace`` view -> (its text over the one :class:`TraceSummary`
+#: fold, or ``None``; the stderr line when it is ``None``)
+_TRACE_VIEWS = {
+    "summarize": (lambda summary, args: summary.describe(), None),
+    "serve-summary": (lambda summary, args: summary.describe_serve(), None),
+    "profile": (
+        lambda summary, args: summary.describe_profile(top=args.top),
+        "no profile records in trace; record one with "
+        "`repro races --trace FILE --profile FILE`",
+    ),
+    "timeline": (
+        lambda summary, args: summary.describe_timeline(),
+        "no scan or worker spans in trace",
+    ),
+}
 
 
-def cmd_trace_serve_summary(args: argparse.Namespace) -> int:
-    """Aggregate a daemon trace (``repro serve --trace``): per-endpoint
-    request counts and latency percentiles, the phase breakdown of
-    where request time went, planner-tier attribution, and the slowest
-    requests with their ids.  The per-endpoint counts equal the
-    daemon's ``/status`` ``"http"`` totals for the same run."""
-    summary = summarize_serve_trace(args.trace_file, slowest=args.slowest)
-    print(summary.describe())
-    return 0
-
-
-def cmd_trace_profile(args: argparse.Namespace) -> int:
-    """Merge a trace's ``profile`` records into the hot-events table.
-
-    Profiles merge associatively, so the table from a checkpointed
-    scan's several ``profile`` records (one per run segment) or a
-    parallel scan's merged workers equals the table one serial
-    uninterrupted scan would print.  Streams the trace: journal size
-    does not matter.
-    """
-    profile = SearchProfile()
-    found = 0
-    for rec in iter_trace(args.trace_file):
-        if rec["kind"] == "profile":
-            profile.merge(rec["profile"])
-            found += 1
-    if not found:
-        print(
-            "repro: no profile records in trace; record one with "
-            "`repro races --trace FILE --profile FILE`",
-            file=sys.stderr,
-        )
+def cmd_trace(args: argparse.Namespace) -> int:
+    """Print one view of a trace file.  Every view reads the same
+    one-pass :func:`~repro.obs.trace.summarize_trace` fold, which
+    streams the file: journal size does not matter."""
+    render, missing = _TRACE_VIEWS[args.trace_command]
+    summary = summarize_trace(
+        args.trace_file, slowest=getattr(args, "slowest", 10)
+    )
+    text = render(summary, args)
+    if text is None:
+        print(f"repro: {missing}", file=sys.stderr)
         return EXIT_USAGE
-    if found > 1:
-        print(f"merged {found} profile records")
-    print("\n".join(profile.describe(top=args.top)))
-    return 0
-
-
-def cmd_trace_timeline(args: argparse.Namespace) -> int:
-    """Per-worker utilization from the pool's dispatch/result spans.
-
-    All the spans used here (``scan.*``, ``worker.*``) are stamped by
-    the parent's monotonic clock, so durations across workers are
-    directly comparable.  Streams the trace.
-    """
-    workers = {}
-    scan_start = scan_end = last_t = None
-    pair_times = []
-
-    def entry(uid):
-        e = workers.get(uid)
-        if e is None:
-            e = workers[uid] = {
-                "busy": 0.0, "pairs": 0, "crashes": 0,
-                "first": None, "last": None, "open": None,
-                "slowest": 0.0, "slowest_pair": None,
-            }
-        return e
-
-    for rec in iter_trace(args.trace_file):
-        kind, t = rec["kind"], rec["t"]
-        last_t = t if last_t is None else max(last_t, t)
-        if kind == "scan.start":
-            scan_start = t
-        elif kind == "scan.end":
-            scan_end = t
-        elif kind == "worker.spawn":
-            e = entry(rec["worker"])
-            e["first"] = t if e["first"] is None else e["first"]
-            e["last"] = t
-        elif kind == "worker.dispatch":
-            e = entry(rec["worker"])
-            e["open"] = (t, rec["a"], rec["b"])
-            e["first"] = t if e["first"] is None else e["first"]
-            e["last"] = t
-        elif kind in ("worker.result", "worker.crash", "worker.retire"):
-            e = entry(rec["worker"])
-            e["last"] = t
-            if kind == "worker.crash":
-                e["crashes"] += 1
-            if e["open"] is not None and kind != "worker.retire":
-                took = t - e["open"][0]
-                e["busy"] += took
-                if kind == "worker.result":
-                    e["pairs"] += 1
-                    pair_times.append(took)
-                if took > e["slowest"]:
-                    e["slowest"] = took
-                    e["slowest_pair"] = e["open"][1:]
-                e["open"] = None
-    if not workers:
-        if scan_start is not None:
-            end = scan_end if scan_end is not None else last_t
-            print(
-                f"serial scan (no worker spans): "
-                f"{end - scan_start:.3f}s wall"
-                + ("" if scan_end is not None else ", no scan.end (killed?)")
-            )
-            return 0
-        print("repro: no scan or worker spans in trace", file=sys.stderr)
-        return EXIT_USAGE
-    end = scan_end if scan_end is not None else last_t
-    wall = (end - scan_start) if scan_start is not None else None
-    median = sorted(pair_times)[len(pair_times) // 2] if pair_times else 0.0
-    header = f"worker timeline: {len(workers)} worker(s)"
-    if wall is not None:
-        header += f", scan wall {wall:.3f}s"
-    if scan_end is None:
-        header += " (no scan.end record -- scan killed mid-flight?)"
-    print(header)
-    stragglers = []
-    for uid in sorted(workers):
-        e = workers[uid]
-        lifetime = (e["last"] - e["first"]) if e["first"] is not None else 0.0
-        util = 100.0 * e["busy"] / lifetime if lifetime > 0 else 0.0
-        line = (
-            f"  worker {uid}: pairs={e['pairs']} busy={e['busy']:.3f}s "
-            f"util={util:.0f}%"
-        )
-        if e["crashes"]:
-            line += f" crashes={e['crashes']}"
-        flags = []
-        if e["crashes"]:
-            flags.append("crashed")
-        if (
-            e["slowest_pair"] is not None
-            and median > 0
-            and e["slowest"] >= 2 * median
-        ):
-            a, b = e["slowest_pair"]
-            flags.append(
-                f"straggler: pair ({a}, {b}) took {e['slowest']:.3f}s "
-                f"({e['slowest'] / median:.1f}x median)"
-            )
-        if flags:
-            line += "  <- " + "; ".join(flags)
-            stragglers.append(uid)
-        print(line)
-    if not stragglers:
-        print("  no stragglers (all pairs within 2x the median)")
+    print(text)
     return 0
 
 
@@ -1044,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-aggregate a --trace file into the per-tier planner table",
     )
     ps.add_argument("trace_file", help="JSONL trace written by --trace")
-    ps.set_defaults(func=cmd_trace_summarize)
+    ps.set_defaults(func=cmd_trace)
     ps = tsub.add_parser(
         "serve-summary",
         help="aggregate a daemon trace (repro serve --trace): "
@@ -1054,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("trace_file", help="JSONL trace written by serve --trace")
     ps.add_argument("--slowest", type=int, default=10, metavar="N",
                     help="slowest requests to list (default 10)")
-    ps.set_defaults(func=cmd_trace_serve_summary)
+    ps.set_defaults(func=cmd_trace)
     ps = tsub.add_parser(
         "profile",
         help="merge the trace's search-profile records into the "
@@ -1063,14 +946,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("trace_file", help="JSONL trace written by --trace")
     ps.add_argument("--top", type=int, default=10,
                     help="rows in the hot-events table (default 10)")
-    ps.set_defaults(func=cmd_trace_profile)
+    ps.set_defaults(func=cmd_trace)
     ps = tsub.add_parser(
         "timeline",
         help="per-worker utilization (busy/idle, crashes, stragglers) "
         "from the pool's dispatch/result spans",
     )
     ps.add_argument("trace_file", help="JSONL trace written by --trace")
-    ps.set_defaults(func=cmd_trace_timeline)
+    ps.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
         "serve",

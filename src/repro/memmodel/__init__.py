@@ -123,22 +123,23 @@ def po_constraint_pairs(
     Under SC this is exactly the adjacent chain ``(i, i+1)``.
     """
     n = len(events)
-    if n < 2:
-        return []
-    ordered = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            ordered[i][j] = model.orders(events[i], events[j])
     pairs: List[Tuple[int, int]] = []
+    # succ[i]: bit k set iff events[i] is ordered before events[k].
+    # Walking i down from j - 1, ``preds`` already holds every
+    # k in (i, j) ordered before events[j], so (i, j) is implied
+    # through an intermediate k exactly when succ[i] & preds != 0
+    succ = [0] * n
+    bits = [1 << k for k in range(n)]
+    orders = model.orders
     for j in range(1, n):
+        second = events[j]
+        preds = 0
         for i in range(j - 1, -1, -1):
-            if not ordered[i][j]:
-                continue
-            if any(
-                ordered[i][k] and ordered[k][j] for k in range(i + 1, j)
-            ):
-                continue  # implied transitively
-            pairs.append((i, j))
+            if orders(events[i], second):
+                if not succ[i] & preds:
+                    pairs.append((i, j))
+                succ[i] |= bits[j]
+                preds |= bits[i]
     return pairs
 
 

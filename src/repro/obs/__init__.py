@@ -41,7 +41,7 @@ from repro.obs.metrics import (
     render_status,
     scan_metrics,
 )
-from repro.obs.profile import SearchProfile, merge_profiles
+from repro.obs.profile import SearchProfile
 from repro.obs.progress import ScanProgress
 from repro.obs.server import HttpServer, ObsServer, StatusBoard
 from repro.obs.trace import (
@@ -52,13 +52,11 @@ from repro.obs.trace import (
     JsonlTraceSink,
     NullSink,
     RecordingSink,
-    ServeTraceSummary,
     TraceError,
     TraceSink,
     TraceSummary,
     iter_trace,
     read_trace,
-    summarize_serve_trace,
     summarize_trace,
     validate_record,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "render_status",
     "scan_metrics",
     "SearchProfile",
-    "merge_profiles",
     "ScanProgress",
     "HttpServer",
     "ObsServer",
@@ -84,13 +81,11 @@ __all__ = [
     "JsonlTraceSink",
     "NullSink",
     "RecordingSink",
-    "ServeTraceSummary",
     "TraceError",
     "TraceSink",
     "TraceSummary",
     "iter_trace",
     "read_trace",
-    "summarize_serve_trace",
     "summarize_trace",
     "validate_record",
 ]

@@ -29,7 +29,7 @@ changes which states the search visits, only counts them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Pseudo choice point for states visited before the search's first
 #: real branch (and for searches that never branch at all).
@@ -235,19 +235,9 @@ def _label(key: Tuple[int, str, str]) -> str:
     return f"e{eid}:{kind}"
 
 
-def merge_profiles(snapshots: Iterable[Optional[Dict[str, object]]]) -> SearchProfile:
-    """Fold an iterable of snapshot dicts (Nones skipped) into one profile."""
-    prof = SearchProfile()
-    for snap in snapshots:
-        if snap:
-            prof.merge(snap)
-    return prof
-
-
 __all__ = [
     "ChoiceTally",
     "PROFILE_VERSION",
     "ROOT_KEY",
     "SearchProfile",
-    "merge_profiles",
 ]

@@ -59,6 +59,7 @@ import heapq
 import json
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import faults
@@ -430,40 +431,158 @@ def read_trace(path: str) -> List[Dict[str, Any]]:
     return list(iter_trace(path))
 
 
-class TraceSummary:
-    """Aggregate view of one trace (see :func:`summarize_trace`)."""
+def _percentile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample."""
+    if not sorted_values:
+        return 0.0
+    rank = max(1, int(-(-q * len(sorted_values) // 1)))  # ceil without math
+    return sorted_values[min(rank, len(sorted_values)) - 1]
 
-    def __init__(self, records: Iterable[Dict[str, Any]]) -> None:
+
+@dataclass
+class WorkerSpan:
+    """One pool worker's timeline, as ``repro trace timeline`` reads it."""
+
+    busy: float = 0.0
+    pairs: int = 0
+    crashes: int = 0
+    first: Optional[float] = None
+    last: Optional[float] = None
+    open: Optional[Tuple[float, int, int]] = None  # (t, a, b) in flight
+    slowest: float = 0.0
+    slowest_pair: Optional[Tuple[int, int]] = None
+
+
+class TraceSummary:
+    """Everything the ``repro trace`` views read, from one pass.
+
+    The fold handles each record ``kind`` in exactly one place, and the
+    views (:meth:`describe`, :meth:`describe_serve`,
+    :meth:`describe_profile`, :meth:`describe_timeline`) only render
+    what it kept.  ``query`` spans re-aggregate through
+    :meth:`~repro.solve.planner.PlannerReport.fold_query` into exactly
+    the live report's per-tier table, and the per-endpoint ``serve.*``
+    counts equal the daemon's ``/status`` ``"http"`` totals.  Memory
+    grows with the request and attempt counts, never the span count.
+    """
+
+    def __init__(
+        self, records: Iterable[Dict[str, Any]], *, slowest: int = 10
+    ) -> None:
         self.planner = PlannerReport()
-        self.pairs: Dict[str, int] = {}
+        self.pairs: Dict[str, int] = {}  # status -> count
         self.engine_ticks = 0
-        self.worker_events: Dict[str, int] = {}
         self.checkpoint_writes = 0
         self.dropped = 0
         self.interrupted = False
-        self.profile = SearchProfile()  # merged from any profile records
-        for rec in records:
-            kind = rec["kind"]
+        self.scan_start: Optional[float] = None
+        self.scan_end: Optional[float] = None
+        self.last_t: Optional[float] = None
+        self.worker_events: Dict[str, int] = {}  # lifecycle event -> count
+        self.workers: Dict[int, WorkerSpan] = {}
+        self.attempt_times: List[float] = []  # dispatch -> result
+        self.profile = SearchProfile()
+        self.profile_records = 0
+        self.requests: Dict[str, int] = {}  # endpoint -> count
+        self.statuses: Dict[str, Dict[str, int]] = {}  # endpoint -> code -> n
+        self.kinds: Dict[str, int] = {}  # query kind (relation) -> count
+        self.latencies: Dict[str, List[float]] = {}  # endpoint -> elapsed
+        self.phases: Dict[str, List[float]] = {
+            kind: [0, 0.0] for kind in SERVE_PHASE_KINDS
+        }  # span kind -> [count, total seconds]
+        # (elapsed, -arrival, record): ties go to the earlier arrival,
+        # and the records themselves are never compared
+        heap: List[Tuple[float, int, Dict[str, Any]]] = []
+        cap = max(1, slowest)
+        for seq, rec in enumerate(records):
+            kind, t = rec["kind"], rec["t"]
+            self.last_t = t if self.last_t is None else max(self.last_t, t)
             if kind == "query":
                 self.planner.fold_query(rec)
             elif kind == "pair":
                 status = rec["status"]
                 self.pairs[status] = self.pairs.get(status, 0) + 1
+            elif kind == "scan.start":
+                self.scan_start = t
+            elif kind == "scan.end":
+                self.scan_end = t
+                self.interrupted = self.interrupted or rec["interrupted"]
             elif kind == "engine.tick":
                 self.engine_ticks += 1
+            elif kind == "checkpoint.write":
+                self.checkpoint_writes += 1
+            elif kind == "trace.drops":
+                self.dropped += rec["dropped"]
+            elif kind == "profile":
+                self.profile.merge(rec["profile"])
+                self.profile_records += 1
             elif kind.startswith("worker."):
                 event = kind.split(".", 1)[1]
                 self.worker_events[event] = self.worker_events.get(event, 0) + 1
-            elif kind == "checkpoint.write":
-                self.checkpoint_writes += 1
-            elif kind == "profile":
-                self.profile.merge(rec["profile"])
-            elif kind == "trace.drops":
-                self.dropped += rec["dropped"]
-            elif kind == "scan.end":
-                self.interrupted = self.interrupted or rec["interrupted"]
+                if event in ("spawn", "dispatch", "result", "crash", "retire"):
+                    self._fold_attempt(event, t, rec)
+            elif kind == "serve.request":
+                endpoint = rec["endpoint"]
+                self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
+                by_status = self.statuses.setdefault(endpoint, {})
+                code = str(rec["status"])
+                by_status[code] = by_status.get(code, 0) + 1
+                qkind = str(rec.get("query_kind") or "-")
+                self.kinds[qkind] = self.kinds.get(qkind, 0) + 1
+                self.latencies.setdefault(endpoint, []).append(rec["elapsed"])
+                item = (rec["elapsed"], -seq, rec)
+                if len(heap) < cap:
+                    heapq.heappush(heap, item)
+                else:
+                    heapq.heappushpop(heap, item)
+            elif kind in self.phases:
+                tally = self.phases[kind]
+                tally[0] += 1
+                tally[1] += rec["elapsed"]
+        #: the N slowest requests, slowest first
+        self.slowest: List[Dict[str, Any]] = [
+            rec for _, _, rec in sorted(heap, reverse=True)
+        ]
+
+    def _fold_attempt(self, event: str, t: float, rec: Dict[str, Any]) -> None:
+        w = self.workers.get(rec["worker"])
+        if w is None:
+            w = self.workers[rec["worker"]] = WorkerSpan()
+        w.last = t
+        if event in ("spawn", "dispatch"):
+            if w.first is None:
+                w.first = t
+            if event == "dispatch":
+                w.open = (t, rec["a"], rec["b"])
+            return
+        if event == "crash":
+            w.crashes += 1
+        if w.open is not None and event != "retire":
+            took = t - w.open[0]
+            w.busy += took
+            if event == "result":
+                w.pairs += 1
+                self.attempt_times.append(took)
+            if took > w.slowest:
+                w.slowest = took
+                w.slowest_pair = w.open[1:]
+            w.open = None
+
+    @property
+    def total_requests(self) -> int:
+        return sum(self.requests.values())
+
+    def percentiles(self, endpoint: str) -> Tuple[float, float, float]:
+        values = sorted(self.latencies.get(endpoint, ()))
+        return (
+            _percentile(values, 0.50),
+            _percentile(values, 0.95),
+            _percentile(values, 0.99),
+        )
 
     def describe(self) -> str:
+        """``repro trace summarize``: the per-tier planner table plus
+        the scan's pair, worker, checkpoint and profile tallies."""
         lines = []
         if self.pairs:
             tally = " ".join(
@@ -492,94 +611,10 @@ class TraceSummary:
             lines.append("scan was interrupted")
         return "\n".join(lines)
 
-
-def summarize_trace(path: str) -> TraceSummary:
-    """Aggregate a trace file back into the per-tier table the live
-    :class:`~repro.solve.planner.PlannerReport` prints -- the two agree
-    exactly, including spans shipped home by supervised workers.
-    Streams :func:`iter_trace`, so journal size doesn't matter."""
-    return TraceSummary(iter_trace(path))
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, int(-(-q * len(sorted_values) // 1)))  # ceil without math
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
-class ServeTraceSummary:
-    """Aggregate view of a daemon trace (``repro trace serve-summary``).
-
-    Built from the ``serve.*`` spans (plus the ``query`` spans workers
-    ship home): per-endpoint request counts and latency percentiles,
-    the phase breakdown of where request time went, planner-tier
-    attribution, and the slowest requests *with their request IDs* so
-    an operator can go from a p99 number to one concrete request.
-
-    The per-endpoint request counts are, by construction, exactly the
-    counts the daemon's ``/status`` document reports under ``"http"``
-    for the same run: both tally one unit per completed request on the
-    instrumented endpoints.
-    """
-
-    def __init__(
-        self, records: Iterable[Dict[str, Any]], *, slowest: int = 10
-    ) -> None:
-        self.requests: Dict[str, int] = {}  # endpoint -> count
-        self.statuses: Dict[str, Dict[str, int]] = {}  # endpoint -> code -> n
-        self.kinds: Dict[str, int] = {}  # query kind (relation) -> count
-        self.latencies: Dict[str, List[float]] = {}  # endpoint -> elapsed
-        self.phases: Dict[str, List[float]] = {
-            kind: [0, 0.0] for kind in SERVE_PHASE_KINDS
-        }  # span kind -> [count, total seconds]
-        self.planner = PlannerReport()
-        self.dropped = 0
-        self._slowest_cap = max(1, slowest)
-        heap: List[Tuple[float, str, Dict[str, Any]]] = []
-        for rec in records:
-            kind = rec["kind"]
-            if kind == "serve.request":
-                endpoint = rec["endpoint"]
-                self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
-                by_status = self.statuses.setdefault(endpoint, {})
-                code = str(rec["status"])
-                by_status[code] = by_status.get(code, 0) + 1
-                qkind = str(rec.get("query_kind") or "-")
-                self.kinds[qkind] = self.kinds.get(qkind, 0) + 1
-                self.latencies.setdefault(endpoint, []).append(rec["elapsed"])
-                item = (rec["elapsed"], rec["request_id"], rec)
-                if len(heap) < self._slowest_cap:
-                    heapq.heappush(heap, item)
-                else:
-                    heapq.heappushpop(heap, item)
-            elif kind in self.phases:
-                tally = self.phases[kind]
-                tally[0] += 1
-                tally[1] += rec["elapsed"]
-            elif kind == "query":
-                self.planner.fold_query(rec)
-            elif kind == "trace.drops":
-                self.dropped += rec["dropped"]
-        #: the N slowest requests, slowest first
-        self.slowest: List[Dict[str, Any]] = [
-            rec for _, _, rec in sorted(heap, reverse=True)
-        ]
-
-    @property
-    def total_requests(self) -> int:
-        return sum(self.requests.values())
-
-    def percentiles(self, endpoint: str) -> Tuple[float, float, float]:
-        values = sorted(self.latencies.get(endpoint, ()))
-        return (
-            _percentile(values, 0.50),
-            _percentile(values, 0.95),
-            _percentile(values, 0.99),
-        )
-
-    def describe(self) -> str:
+    def describe_serve(self) -> str:
+        """``repro trace serve-summary``: per-endpoint latency and
+        status, the phase breakdown, planner tiers and the slowest
+        requests with their IDs."""
         lines = [
             f"requests: {self.total_requests} across "
             f"{len(self.requests)} endpoint(s)"
@@ -632,12 +667,79 @@ class ServeTraceSummary:
             )
         return "\n".join(lines)
 
+    def describe_profile(self, top: int = 10) -> Optional[str]:
+        """``repro trace profile``: the merged hot-events table, or
+        ``None`` when the trace holds no ``profile`` record."""
+        if not self.profile_records:
+            return None
+        lines = self.profile.describe(top=top)
+        if self.profile_records > 1:
+            lines.insert(0, f"merged {self.profile_records} profile records")
+        return "\n".join(lines)
 
-def summarize_serve_trace(path: str, *, slowest: int = 10) -> ServeTraceSummary:
-    """Aggregate a daemon trace (``repro serve --trace``) into the
-    per-endpoint latency/phase/tier view.  Streams :func:`iter_trace`,
-    bounding memory by the request count, not the span count."""
-    return ServeTraceSummary(iter_trace(path), slowest=slowest)
+    def describe_timeline(self) -> Optional[str]:
+        """``repro trace timeline``: per-worker utilization, crashes and
+        stragglers (every span it reads is stamped by the parent's
+        monotonic clock, so durations compare across workers); a
+        wall-clock line for a serial scan; ``None`` when the trace
+        holds neither scan nor worker spans."""
+        end = self.scan_end if self.scan_end is not None else self.last_t
+        killed = self.scan_end is None
+        if not self.workers:
+            if self.scan_start is None:
+                return None
+            return (
+                f"serial scan (no worker spans): "
+                f"{end - self.scan_start:.3f}s wall"
+                + (", no scan.end (killed?)" if killed else "")
+            )
+        times = sorted(self.attempt_times)
+        median = times[len(times) // 2] if times else 0.0
+        header = f"worker timeline: {len(self.workers)} worker(s)"
+        if self.scan_start is not None:
+            header += f", scan wall {end - self.scan_start:.3f}s"
+        if killed:
+            header += " (no scan.end record -- scan killed mid-flight?)"
+        lines = [header]
+        flagged = 0
+        for uid in sorted(self.workers):
+            w = self.workers[uid]
+            lifetime = (w.last - w.first) if w.first is not None else 0.0
+            util = 100.0 * w.busy / lifetime if lifetime > 0 else 0.0
+            line = (
+                f"  worker {uid}: pairs={w.pairs} busy={w.busy:.3f}s "
+                f"util={util:.0f}%"
+            )
+            flags = []
+            if w.crashes:
+                line += f" crashes={w.crashes}"
+                flags.append("crashed")
+            if (
+                w.slowest_pair is not None
+                and median > 0
+                and w.slowest >= 2 * median
+            ):
+                a, b = w.slowest_pair
+                flags.append(
+                    f"straggler: pair ({a}, {b}) took {w.slowest:.3f}s "
+                    f"({w.slowest / median:.1f}x median)"
+                )
+            if flags:
+                line += "  <- " + "; ".join(flags)
+                flagged += 1
+            lines.append(line)
+        if not flagged:
+            lines.append("  no stragglers (all pairs within 2x the median)")
+        return "\n".join(lines)
+
+
+def summarize_trace(path: str, *, slowest: int = 10) -> TraceSummary:
+    """Fold a trace file into the one :class:`TraceSummary` every
+    ``repro trace`` view reads.  Its planner table equals the live
+    :class:`~repro.solve.planner.PlannerReport` exactly, spans shipped
+    home by supervised workers included.  Streams :func:`iter_trace`,
+    so journal size doesn't matter."""
+    return TraceSummary(iter_trace(path), slowest=slowest)
 
 
 __all__ = [
@@ -658,6 +760,4 @@ __all__ = [
     "read_trace",
     "TraceSummary",
     "summarize_trace",
-    "ServeTraceSummary",
-    "summarize_serve_trace",
 ]

@@ -24,6 +24,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.enumerate import relations_by_enumeration
@@ -36,6 +37,7 @@ from repro.lang.scheduler import PriorityScheduler, RandomScheduler
 from repro.lang.unparse import unparse_program
 from repro.memmodel import (
     MEMORY_MODELS,
+    MemoryModel,
     SC,
     TSO,
     po_constraint_pairs,
@@ -43,7 +45,7 @@ from repro.memmodel import (
 )
 from repro.model import serialize
 from repro.model.builder import ExecutionBuilder
-from repro.model.events import EventKind
+from repro.model.events import Access, Event, EventKind
 from repro.races.detector import FEASIBLE, INFEASIBLE, RaceDetector
 
 from tests.strategies import tiny_overlay_executions
@@ -159,6 +161,89 @@ class TestConstraintPairs:
         b.memory_model("tso")
         exe = b.build()
         assert exe.po_begin_predecessors(v) == (w,)
+
+
+def cubic_po_constraint_pairs(events, model):
+    """The original O(n^3) derivation, kept as the reference: an
+    ordered pair is kept unless some intermediate k is ordered after
+    i and before j."""
+    n = len(events)
+    ordered = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ordered[i][j] = model.orders(events[i], events[j])
+    pairs = []
+    for j in range(1, n):
+        for i in range(j - 1, -1, -1):
+            if not ordered[i][j]:
+                continue
+            if any(
+                ordered[i][k] and ordered[k][j] for k in range(i + 1, j)
+            ):
+                continue
+            pairs.append((i, j))
+    return pairs
+
+
+class _TableModel(MemoryModel):
+    """An arbitrary (not necessarily transitive) ordering predicate."""
+
+    def __init__(self, unordered):
+        super().__init__("table")
+        object.__setattr__(self, "unordered", frozenset(unordered))
+
+    def orders(self, first, second):
+        return (first.index, second.index) not in self.unordered
+
+
+@st.composite
+def process_events(draw):
+    """One process's events: reads/writes of three variables, skips,
+    fences and semaphore operations, in program order."""
+    events = []
+    for index in range(draw(st.integers(0, 14))):
+        shape = draw(st.sampled_from(["compute", "fence", "P", "V"]))
+        if shape == "compute":
+            accesses = tuple(
+                Access(var, draw(st.booleans()))
+                for var in draw(st.sets(st.sampled_from("xyz"), max_size=2))
+            )
+            events.append(Event(index, "A", index, EventKind.COMPUTATION,
+                                accesses=accesses))
+        elif shape == "fence":
+            events.append(Event(index, "A", index, EventKind.FENCE))
+        else:
+            kind = EventKind.SEM_P if shape == "P" else EventKind.SEM_V
+            events.append(Event(index, "A", index, kind, obj="s"))
+    return events
+
+
+class TestConstraintPairsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(process_events(), st.sampled_from([SC, TSO]))
+    def test_matches_cubic_reference(self, events, model):
+        assert po_constraint_pairs(events, model) == (
+            cubic_po_constraint_pairs(events, model)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(st.tuples(st.integers(0, n), st.integers(0, n))),
+            )
+        )
+    )
+    def test_matches_cubic_reference_for_any_predicate(self, shape):
+        n, unordered = shape
+        events = [
+            Event(i, "A", i, EventKind.COMPUTATION) for i in range(n)
+        ]
+        model = _TableModel(unordered)
+        assert po_constraint_pairs(events, model) == (
+            cubic_po_constraint_pairs(events, model)
+        )
 
 
 # ----------------------------------------------------------------------

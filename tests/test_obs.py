@@ -30,12 +30,11 @@ from repro.obs import (
     ScanProgress,
     SearchProfile,
     TraceError,
+    TraceSummary,
     iter_trace,
-    merge_profiles,
     planner_metrics,
     read_trace,
     scan_metrics,
-    summarize_serve_trace,
     summarize_trace,
     validate_record,
 )
@@ -528,7 +527,11 @@ class TestSearchProfile:
         q.merge(p)
         assert q.searches == 2
         assert q.tally(key).states == 4
-        assert merge_profiles([snap, None, snap]).total_states == 6
+        # a trace's profile records fold into one profile
+        folded = TraceSummary(
+            [{"kind": "profile", "t": 0.0, "profile": snap}] * 2
+        )
+        assert folded.profile.total_states == 6
 
     def test_hot_events_excludes_forced_prefix(self):
         p = SearchProfile()
@@ -928,7 +931,7 @@ class TestServeTraceSummary:
         return _serve_trace(tmp_path / "t.jsonl", records)
 
     def test_counts_percentiles_and_phases(self, tmp_path):
-        s = summarize_serve_trace(self._trace(tmp_path))
+        s = summarize_trace(self._trace(tmp_path))
         assert s.requests == {"POST /query": 21, "POST /executions": 1}
         assert s.total_requests == 22
         assert s.statuses["POST /query"] == {"200": 20, "422": 1}
@@ -944,14 +947,14 @@ class TestServeTraceSummary:
         assert s.dropped == 7
 
     def test_slowest_is_bounded_and_sorted(self, tmp_path):
-        s = summarize_serve_trace(self._trace(tmp_path), slowest=3)
+        s = summarize_trace(self._trace(tmp_path), slowest=3)
         assert len(s.slowest) == 3
         assert [rec["request_id"] for rec in s.slowest] == [
             "slowpoke", "q-20", "q-19",
         ]
 
     def test_describe_names_the_culprit(self, tmp_path):
-        text = summarize_serve_trace(self._trace(tmp_path)).describe()
+        text = summarize_trace(self._trace(tmp_path)).describe_serve()
         assert "POST /query: count=21" in text
         assert "id=slowpoke" in text
         assert "dispatch" in text

@@ -1129,7 +1129,7 @@ class TestRequestTracing:
     def test_traced_daemon_end_to_end(self, daemon_factory, tmp_path):
         import re
 
-        from repro.obs import JsonlTraceSink, iter_trace, summarize_serve_trace
+        from repro.obs import JsonlTraceSink, iter_trace, summarize_trace
 
         exe = masking_execution(2)
         a, b = exe.conflicting_pairs()[0]
@@ -1177,7 +1177,7 @@ class TestRequestTracing:
         records = list(iter_trace(trace))
         assert records[0]["version"] == 3
         # ... and re-aggregates to exactly the /status endpoint counts
-        s = summarize_serve_trace(trace)
+        s = summarize_trace(trace)
         assert s.requests == http
         assert s.requests == {
             "POST /executions": 1, "POST /query": 3, "GET /executions": 1,
