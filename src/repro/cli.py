@@ -320,16 +320,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 if server is None:
                     return EXIT_USAGE
                 board.begin_scan(
-                    total=0,
-                    fingerprint=args.execution,
-                    budget=budget,
-                    planner_provider=lambda: q.planner.report.snapshot(),
-                    profile_provider=(
-                        (lambda: profile.snapshot())
-                        if profile is not None
-                        else None
-                    ),
+                    total=0, fingerprint=args.execution, budget=budget
                 )
+                board.planner, board.profile = q.planner.report, profile
                 q.planner.attach_board(board)
             sink = JsonlTraceSink(args.trace) if args.trace else None
             try:
@@ -393,17 +386,15 @@ def _races_runner(
     limits = None
     if args.max_memory_mb is not None:
         limits = ResourceLimits(max_memory_mb=args.max_memory_mb)
-    scanner = SupervisedScanner(
+    return SupervisedScanner(
         jobs=max(1, args.jobs),
         limits=limits,
         # jittered backoff: when one host-wide cause kills several
         # workers at once, their retries spread out instead of
         # stampeding back in lockstep (deterministic, seeded by pair)
         retry=RetryPolicy(max_retries=args.retries, jitter=0.5),
+        tracer=tracer,
     )
-    if tracer is not None:
-        scanner.tracer = tracer
-    return scanner
 
 
 def cmd_races(args: argparse.Namespace) -> int:
@@ -503,32 +494,16 @@ def _feasible_scan(
 
         runner = _races_runner(args, tracer)
         if board is not None:
-            serial = runner is None
             board.begin_scan(
                 total=len(exe.conflicting_pairs()),
                 fingerprint=fingerprint,
                 budget=budget,
-                # serial scans read the shared planner/profile at
-                # publish time (same thread); parallel scans merge the
-                # workers' per-pair snapshots as results arrive
-                planner_provider=(
-                    (lambda: detector.planner.report.snapshot())
-                    if serial else None
-                ),
-                profile_provider=(
-                    (lambda: profile.snapshot())
-                    if serial and profile is not None else None
-                ),
             )
             # journaled pairs count immediately: /status totals always
             # match the final report, resumed or not (fresh=False keeps
             # them out of the observed pair rate and the ETA)
             for c in precomputed.values():
                 board.pair_done(c, fresh=False)
-            if serial:
-                detector.planner.attach_board(board)
-            else:
-                runner.board = board
         try:
             feasible = detector.feasible_races(
                 per_pair_max_states=args.per_pair_states,
@@ -537,6 +512,7 @@ def _feasible_scan(
                 on_classified=on_classified,
                 tracer=tracer,
                 profile=profile,
+                board=board,
             )
             if board is not None:
                 board.set_state(

@@ -71,11 +71,18 @@ READY_STATES = frozenset({"scanning", "serving", "done"})
 class StatusBoard:
     """Scan-side state with a lock-free published snapshot.
 
-    Single-writer: every mutator (``begin_scan``, ``pair_done``,
-    ``observe``, ``merge_*``, ``finish``) must be called from the scan
-    thread.  Readers (HTTP handlers) call only :meth:`latest`, which
-    returns the last published immutable snapshot -- possibly ``None``
-    before the first publish, and always a complete document after.
+    Single-writer: every mutator (``begin_scan``, ``set_state``,
+    ``pair_done``, ``observe``) must be called from the scan thread.
+    Readers (HTTP handlers) call only :meth:`latest`, which returns the
+    last published immutable snapshot -- possibly ``None`` before the
+    first publish, and always a complete document after.
+
+    ``planner`` and ``profile`` are the scan's own
+    :class:`~repro.solve.planner.PlannerReport` and
+    :class:`~repro.obs.profile.SearchProfile` (or ``None``), read at
+    every publish: whoever runs the scan points them at the objects it
+    tallies into, on the scan thread, so reading them here is
+    race-free.
     """
 
     def __init__(self) -> None:
@@ -93,13 +100,8 @@ class StatusBoard:
         self._checkpoint_writes = 0
         self._engine_states: Optional[int] = None
         self._last_engine_publish = 0.0
-        self._merged_planner = PlannerReport()
-        self._merged_profile: Optional[SearchProfile] = None
-        # live read-at-publish providers (the serial scan path: the
-        # planner report / profile objects mutate in place on the same
-        # thread that publishes, so reading them here is race-free)
-        self._planner_provider: Optional[Callable[[], Dict[str, Any]]] = None
-        self._profile_provider: Optional[Callable[[], Dict[str, Any]]] = None
+        self.planner = PlannerReport()
+        self.profile: Optional[SearchProfile] = None
         self.publish()
 
     # -- wiring (scan thread, before/while scanning) ---------------------
@@ -109,16 +111,12 @@ class StatusBoard:
         total: int,
         fingerprint: Optional[str] = None,
         budget=None,
-        planner_provider: Optional[Callable[[], Dict[str, Any]]] = None,
-        profile_provider: Optional[Callable[[], Dict[str, Any]]] = None,
     ) -> None:
         """Arm the board for a scan of ``total`` conflicting pairs."""
         self._state = "scanning"
         self._total = total
         self._fingerprint = fingerprint
         self._budget = budget
-        self._planner_provider = planner_provider
-        self._profile_provider = profile_provider
         self._t0 = time.monotonic()
         self.publish()
 
@@ -190,18 +188,6 @@ class StatusBoard:
             w["pair"] = None
         self.publish()
 
-    def merge_planner(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a worker's per-pair planner snapshot into the live
-        per-tier table (parallel scans; serial scans use a provider)."""
-        if snapshot:
-            self._merged_planner.merge(snapshot)
-
-    def merge_profile(self, snapshot: Dict[str, Any]) -> None:
-        if snapshot:
-            if self._merged_profile is None:
-                self._merged_profile = SearchProfile()
-            self._merged_profile.merge(snapshot)
-
     # -- the slot --------------------------------------------------------
     def publish(self) -> None:
         """Build a fresh snapshot and swing the slot to it (one atomic
@@ -233,16 +219,6 @@ class StatusBoard:
             }
             if left is not None and eta is not None and left < eta:
                 eta = left  # the deadline will cut the scan short
-        if self._planner_provider is not None:
-            planner = self._planner_provider()
-        else:
-            planner = self._merged_planner.snapshot()
-        if self._profile_provider is not None:
-            profile = self._profile_provider()
-        elif self._merged_profile is not None:
-            profile = self._merged_profile.snapshot()
-        else:
-            profile = None
         return {
             "service": "repro",
             "status_version": STATUS_VERSION,
@@ -255,8 +231,10 @@ class StatusBoard:
                 "infeasible": self._counts.get("infeasible", 0),
                 "unknown": self._counts.get("unknown", 0),
             },
-            "planner": planner,
-            "profile": profile,
+            "planner": self.planner.snapshot(),
+            "profile": (
+                None if self.profile is None else self.profile.snapshot()
+            ),
             "workers": {
                 str(uid): dict(w) for uid, w in self._workers.items()
             },

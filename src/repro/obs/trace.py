@@ -475,6 +475,7 @@ class TraceSummary:
         self.checkpoint_writes = 0
         self.dropped = 0
         self.interrupted = False
+        self.segments = 0  # trace.start headers: runs appended into one file
         self.scan_start: Optional[float] = None
         self.scan_end: Optional[float] = None
         self.last_t: Optional[float] = None
@@ -499,6 +500,13 @@ class TraceSummary:
             self.last_t = t if self.last_t is None else max(self.last_t, t)
             if kind == "query":
                 self.planner.fold_query(rec)
+            elif kind == "trace.start":
+                # a new run (a --resume appends to the stopped scan's
+                # trace): worker ids restart, so the timeline does too
+                self.segments += 1
+                self.scan_start = self.scan_end = None
+                self.workers = {}
+                self.attempt_times = []
             elif kind == "pair":
                 status = rec["status"]
                 self.pairs[status] = self.pairs.get(status, 0) + 1
@@ -682,7 +690,8 @@ class TraceSummary:
         stragglers (every span it reads is stamped by the parent's
         monotonic clock, so durations compare across workers); a
         wall-clock line for a serial scan; ``None`` when the trace
-        holds neither scan nor worker spans."""
+        holds neither scan nor worker spans.  A trace that several runs
+        appended to (a scan and its ``--resume``) shows the last run."""
         end = self.scan_end if self.scan_end is not None else self.last_t
         killed = self.scan_end is None
         if not self.workers:
@@ -698,6 +707,8 @@ class TraceSummary:
         header = f"worker timeline: {len(self.workers)} worker(s)"
         if self.scan_start is not None:
             header += f", scan wall {end - self.scan_start:.3f}s"
+        if self.segments > 1:
+            header += f" (the last of {self.segments} runs in this trace)"
         if killed:
             header += " (no scan.end record -- scan killed mid-flight?)"
         lines = [header]

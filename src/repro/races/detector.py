@@ -8,20 +8,25 @@ gracefully instead of crashing.  Every pair is classified
 the scan), and a single pathological pair can neither raise away the
 results already computed nor starve the remaining pairs.
 
-The scan itself is *pluggable*: :meth:`RaceDetector.feasible_races`
-delegates each undecided pair either to the in-process serial loop or
-to a caller-supplied *pair runner* (see :data:`PairRunner`) such as the
-crash-isolated worker pool in :mod:`repro.supervise.pool`.  Pairs
-already classified by an earlier scan can be injected via
-``precomputed`` (the checkpoint/resume path), and every freshly
-computed classification is streamed to ``on_classified`` so a journal
-can record it the moment it exists.
+:meth:`RaceDetector.feasible_races` is the one loop that runs a scan,
+serial or parallel.  It walks the pairs not already classified
+(``precomputed``, the checkpoint/resume path) and hands them to an
+*executor*: in-process :func:`classify_pair` on the scan-shared planner,
+or the crash-isolated pool of :class:`repro.supervise.SupervisedScanner`.
+Each :class:`PairResult` that comes back is handled in one place -- the
+scan's one :class:`~repro.solve.planner.PlannerReport` and profile, the
+``pair`` trace record, the status board, and ``on_classified`` (so a
+journal records a pair the moment it exists) -- and one ``try`` turns
+the first Ctrl-C anywhere in that loop into a partial report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple,
+)
 
 from repro.approx.vectorclock import VectorClockAnalysis
 from repro.budget import Budget, DEADLINE
@@ -144,22 +149,19 @@ def _conflict_variables(exe: ProgramExecution, a: int, b: int) -> FrozenSet[str]
 
 
 # ----------------------------------------------------------------------
-# the pluggable pair-runner protocol
+# what the scan loop hands an executor, and what it gets back
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PairScanOptions:
-    """Everything a pair runner needs to classify pairs on the
-    detector's behalf.
+    """How an executor classifies a scan's pairs.
 
     ``max_states`` and ``pair_timeout`` bound each individual pair;
     ``deadline`` is the scan-wide absolute :func:`time.monotonic`
     instant (pairs not started by then are classified ``unknown`` with
-    resource ``"deadline"`` without searching).  ``profile`` asks the
-    runner to attribute engine search cost to branch choice points (a
-    :class:`~repro.obs.profile.SearchProfile` per worker, merged and
-    shipped home in the runner's tier snapshot under ``"profile"``).
-    ``plan`` and ``por`` are the detector's tier ladder (``None`` = the
-    default) and partial-order-reduction mode.
+    resource ``"deadline"`` without searching).  ``profile`` asks for
+    choice-point attribution of engine search cost.  ``plan`` and
+    ``por`` are the detector's tier ladder (``None`` = the default) and
+    partial-order-reduction mode.
     """
 
     drop_racing_dependences: bool = True
@@ -174,18 +176,15 @@ class PairScanOptions:
 #: One unit of scan work: ``(a, b, conflict variables)``.
 PairTask = Tuple[int, int, FrozenSet[str]]
 
-#: A pair runner classifies a batch of tasks and returns
-#: ``(classifications, interrupted)`` -- optionally with a third element,
-#: a :meth:`~repro.solve.planner.PlannerReport.snapshot` dict aggregating
-#: the tiers that answered (the supervised pool ships these home from its
-#: workers).  It must invoke the callback (when not ``None``) once per
-#: classification, as soon as it is known, and on interruption return
-#: whatever prefix it managed to classify.
-PairRunner = Callable[
-    [ProgramExecution, Sequence[PairTask], PairScanOptions,
-     Optional[Callable[[PairClassification], None]]],
-    Tuple[List[PairClassification], bool],
-]
+
+class PairResult(NamedTuple):
+    """One finished pair from an executor, with the planner and profile
+    snapshots of a pool worker that tallied it (in-process results
+    carry none: that planner tallies into the scan's own report)."""
+
+    classification: "PairClassification"
+    planner: Tuple[Dict[str, Any], ...] = ()
+    profile: Optional[Dict[str, Any]] = None
 
 
 def race_execution(exe: ProgramExecution, a: int, b: int) -> ProgramExecution:
@@ -251,6 +250,48 @@ def classify_pair(
             a, b, INFEASIBLE, variables, decided_by=verdict.provenance
         )
     return PairClassification(a, b, UNKNOWN, variables, resource=verdict.resource)
+
+
+class _InProcess:
+    """The ``--jobs 1`` executor: :func:`classify_pair` on the scan's
+    shared planner, one pair per ``next()``.  Every executor has this
+    surface: ``start``; ``next`` (a :class:`PairResult`, a pool's worker
+    lifecycle record, or ``None`` when done); ``interrupt`` (start no
+    further pair); ``close``."""
+
+    def __init__(self, planner: QueryPlanner, budget: Optional[Budget]) -> None:
+        self.planner, self.budget = planner, budget
+        self._tasks: Iterator[PairTask] = iter(())
+
+    def start(self, exe: ProgramExecution, tasks: Sequence[PairTask],
+              options: PairScanOptions) -> None:
+        self.exe, self.options = exe, options
+        self._tasks = iter(tasks)
+
+    def next(self) -> Optional[PairResult]:
+        for a, b, variables in self._tasks:
+            budget = self.budget
+            if budget is not None:
+                if budget.expired():
+                    return PairResult(PairClassification(
+                        a, b, UNKNOWN, variables, resource=DEADLINE
+                    ))
+                budget = budget.per_query(
+                    max_states=self.options.max_states,
+                    timeout=self.options.pair_timeout,
+                )
+            return PairResult(classify_pair(
+                self.exe, a, b,
+                drop_racing_dependences=self.options.drop_racing_dependences,
+                budget=budget, variables=variables, planner=self.planner,
+            ))
+        return None
+
+    def interrupt(self) -> None:
+        self._tasks = iter(())
+
+    def close(self) -> None:
+        self.planner.attach_profiler(None)
 
 
 class RaceDetector:
@@ -323,11 +364,12 @@ class RaceDetector:
         budget: Optional[Budget] = None,
         per_pair_max_states: Optional[int] = None,
         per_pair_timeout: Optional[float] = None,
-        runner: Optional[PairRunner] = None,
+        runner=None,
         precomputed: Optional[Dict[Tuple[int, int], PairClassification]] = None,
         on_classified: Optional[Callable[[PairClassification], None]] = None,
         tracer=None,
         profile=None,
+        board=None,
     ) -> RaceReport:
         """Conflicting pairs with ``a CCW b`` -- the paper's notion.
 
@@ -349,55 +391,63 @@ class RaceDetector:
         returned report is therefore always complete over the pair set
         -- partial only in the sense that some entries are ``unknown``.
 
-        Supervision hooks: ``precomputed`` maps ``(a, b)`` to an
-        already-known classification (e.g. replayed from a checkpoint
-        journal) -- those pairs are not re-examined.  The remaining
-        pairs go to ``runner`` (a :data:`PairRunner`, e.g. the
-        crash-isolated pool in :mod:`repro.supervise.pool`) when given,
-        else to the in-process serial loop.  ``on_classified`` is
-        invoked once per *freshly computed* classification as soon as
-        it is known, so a journal stays current even if the scan is
-        later killed.  A Ctrl-C during the serial loop (or an
-        interrupted runner) yields a partial report flagged
-        ``interrupted`` instead of propagating ``KeyboardInterrupt``.
+        ``precomputed`` maps ``(a, b)`` to an already-known
+        classification (e.g. replayed from a checkpoint journal); those
+        pairs are not re-examined.  The rest go to ``runner`` -- an
+        executor such as :class:`~repro.supervise.SupervisedScanner`
+        (the crash-isolated pool) -- or, by default, to
+        :func:`classify_pair` on the shared planner in this thread.
+        ``on_classified`` is invoked once per *freshly computed*
+        classification as soon as it is known, so a journal stays
+        current even if the scan is later killed.  The first Ctrl-C
+        anywhere in the loop, ``on_classified`` included, stops it: the
+        pairs in flight are drained (pool only) and the partial report
+        comes back flagged ``interrupted``.  A second Ctrl-C during the
+        drain propagates ``KeyboardInterrupt``.
 
-        ``tracer`` (a :class:`~repro.obs.trace.TraceSink`) records the
-        scan as structured spans: ``scan.start``/``scan.end`` bounds,
-        one ``pair`` record per fresh classification, and -- on the
-        serial path -- the shared planner's per-query spans.  (A
-        parallel runner traces its own workers; give the
-        :class:`~repro.supervise.pool.SupervisedScanner` the same sink.)
-
-        ``profile`` (a :class:`~repro.obs.profile.SearchProfile`)
-        accumulates choice-point attribution across the whole scan: the
-        serial loop attaches it to the shared planner, a parallel
-        runner ships per-worker profiles home in its tier snapshot and
-        they are merged here.  One ``profile`` trace record carrying
-        the merged snapshot is emitted before ``scan.end``, and the
-        profile rides on the returned report.  Profiling is a pure
-        observer -- classifications and ``states_visited`` are
-        identical with it on or off.
+        Observers, each fed from this one loop: ``tracer`` (a
+        :class:`~repro.obs.trace.TraceSink`) gets ``scan.start``, one
+        ``pair`` record per fresh classification, ``profile`` and
+        ``scan.end`` (the in-process planner adds its query spans; the
+        pool traces its workers to its own tracer -- give it the same
+        sink).  ``profile`` (a :class:`~repro.obs.profile.SearchProfile`)
+        accumulates choice-point attribution across the scan and rides
+        on the report; profiling is a pure observer.  ``board`` (a
+        :class:`~repro.obs.server.StatusBoard`) reads the scan's report
+        and profile, sees every worker lifecycle record and engine tick,
+        and shows ``draining`` while an interrupted pool drains.
         """
         budget = self._effective_budget(budget)
         traced = tracer is not None and tracer.enabled
         pairs = self.exe.conflicting_pairs()
-        precomputed = dict(precomputed or {})
+        precomputed = precomputed or {}
         classifications: List[PairClassification] = []
         todo: List[PairTask] = []
-        planner_report = PlannerReport()
+        report = PlannerReport()
         for a, b in pairs:
             known = precomputed.get((a, b))
             if known is not None:
                 classifications.append(known)
             else:
                 todo.append((a, b, _conflict_variables(self.exe, a, b)))
-        interrupted = False
+        if board is not None:
+            board.planner, board.profile = report, profile
         if traced:
             tracer.emit(
                 {"kind": "scan.start", "pairs": len(pairs), "todo": len(todo)}
             )
 
-        def notify(c: PairClassification) -> None:
+        def fold(result) -> None:
+            if isinstance(result, dict):  # a pool worker's lifecycle record
+                if board is not None:
+                    board.observe(result)
+                return
+            c, snapshots, profile_snapshot = result
+            for snapshot in snapshots:
+                report.merge(snapshot)
+            if profile_snapshot and profile is not None:
+                profile.merge(profile_snapshot)
+            classifications.append(c)
             if traced:
                 rec = {"kind": "pair", "a": c.a, "b": c.b, "status": c.status}
                 if c.resource is not None:
@@ -407,7 +457,19 @@ class RaceDetector:
                 tracer.emit(rec)
             if on_classified is not None:
                 on_classified(c)
-        if runner is not None and todo:
+
+        interrupted = False
+        if todo:
+            if runner is None:
+                planner = self.planner
+                planner.report = report  # tally this scan only
+                if traced:
+                    planner.attach_tracer(tracer)
+                if profile is not None:
+                    planner.attach_profiler(profile)
+                if board is not None:
+                    planner.attach_board(board)
+                runner = _InProcess(planner, budget)
             options = PairScanOptions(
                 drop_racing_dependences=drop_racing_dependences,
                 max_states=(
@@ -421,53 +483,25 @@ class RaceDetector:
                 por=self.por,
                 plan=self.plan,
             )
-            result = runner(self.exe, todo, options, notify)
-            if len(result) == 3:
-                fresh, interrupted, tier_counts = result
-                if tier_counts:
-                    profile_snap = tier_counts.pop("profile", None)
-                    if profile is not None and profile_snap:
-                        profile.merge(profile_snap)
-                    planner_report.merge(tier_counts)
-            else:
-                fresh, interrupted = result
-            classifications.extend(fresh)
-        else:
-            planner = self.planner
-            planner.report = planner_report  # tally this scan only
-            if traced:
-                planner.attach_tracer(tracer)
-            if profile is not None:
-                planner.attach_profiler(profile)
-            for a, b, variables in todo:
-                if budget is not None and budget.expired():
-                    c = PairClassification(
-                        a, b, UNKNOWN, variables, resource=DEADLINE
-                    )
-                else:
-                    pair_budget = None
-                    if budget is not None:
-                        pair_budget = budget.per_query(
-                            max_states=per_pair_max_states,
-                            timeout=per_pair_timeout,
-                        )
-                    try:
-                        c = classify_pair(
-                            self.exe,
-                            a,
-                            b,
-                            drop_racing_dependences=drop_racing_dependences,
-                            budget=pair_budget,
-                            variables=variables,
-                            planner=planner,
-                        )
-                    except KeyboardInterrupt:
-                        interrupted = True
-                        break
-                classifications.append(c)
-                notify(c)
-            if profile is not None:
-                planner.attach_profiler(None)
+
+            def fold_all() -> None:
+                result = runner.next()
+                while result is not None:
+                    fold(result)
+                    result = runner.next()
+
+            try:
+                try:
+                    runner.start(self.exe, todo, options)
+                    fold_all()
+                except KeyboardInterrupt:
+                    interrupted = True
+                    if board is not None:
+                        board.set_state("draining")  # /readyz answers 503
+                    runner.interrupt()
+                    fold_all()  # a second Ctrl-C propagates
+            finally:
+                runner.close()
         order = {pair: i for i, pair in enumerate(pairs)}
         classifications.sort(key=lambda c: order[(c.a, c.b)])
         races = [
@@ -498,6 +532,6 @@ class RaceDetector:
             len(pairs),
             classifications,
             interrupted=interrupted,
-            planner=planner_report,
+            planner=report,
             profile=profile,
         )

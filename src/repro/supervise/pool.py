@@ -42,17 +42,19 @@ a drain) as its timeout.  A dead worker's pipe is read to EOF before its
 job is failed, so a report sent just before exiting is never mistaken
 for an abandoned job.
 
-A scan (:class:`SupervisedScanner`) is a batch of ``relation="race"``
-requests on a private pool, folded in on the thread that called the
-scan.  A ``KeyboardInterrupt`` waits a grace period for the answers of
-in-flight pairs, terminates the workers, and returns the classified
-prefix with ``interrupted=True``; the caller (the detector / CLI) turns
-that into a partial report and exit status 130.  A *second* interrupt
-during that drain means "now": the drain stops, workers are terminated,
-and the interrupt propagates -- no more results are folded in and no
-further checkpoint records are written, so the journal tail stays whole
-(appends themselves are SIGINT-deferred, see
-:mod:`repro.supervise.checkpoint`).
+A scan's pool is the executor behind ``races --jobs N``
+(:class:`SupervisedScanner`): every pair is submitted up front as a
+``relation="race"`` request on a private pool, and each answer and
+lifecycle record goes back to the one scan loop,
+:meth:`~repro.races.detector.RaceDetector.feasible_races`, on the
+thread that called it.  On the loop's first ``KeyboardInterrupt`` the
+pool starts no further pair and waits a grace period for the answers of
+the pairs in flight; the loop returns that prefix flagged
+``interrupted`` (exit status 130 in the CLI).  A *second* interrupt
+during that drain means "now": it propagates, the workers are
+terminated, no more results are folded in and no further checkpoint
+records are written, so the journal tail stays whole (appends
+themselves are SIGINT-deferred, see :mod:`repro.supervise.checkpoint`).
 
 Fault injection uses the process-wide failpoint registry
 (:mod:`repro.faults`).  A forked worker's registry and environment are
@@ -81,7 +83,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import forkserver
 from multiprocessing.connection import wait as wait_any
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import faults as faults_mod
 from repro.budget import Budget, DEADLINE
@@ -90,6 +92,7 @@ from repro.obs.profile import SearchProfile
 from repro.obs.trace import NULL_SINK, RecordingSink
 from repro.races.detector import (
     PairClassification,
+    PairResult,
     PairScanOptions,
     PairTask,
     UNKNOWN,
@@ -152,7 +155,7 @@ def _verdict_payload(verdict) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _query_worker_main(task_q, conn, conf) -> None:
+def _query_worker_main(task_q, conn, lifeline, conf) -> None:
     """Worker loop: one query per message, executions by fingerprint,
     results by value over the worker's private ``conn``.  Runs in a
     process forked from the forkserver; must stay importable.
@@ -167,6 +170,11 @@ def _query_worker_main(task_q, conn, conf) -> None:
     JSON text) -- a worker fresh from a crash replacement must be able
     to answer without any shared state.  ``por``, ``plan`` and
     ``profile`` come from ``conf`` and apply to every planner.
+
+    ``lifeline`` is the read end of a pipe only the pool holds open: at
+    EOF (the pool retired this worker, or its process died) an idle
+    worker exits, since the task queue, whose write end every worker
+    holds too, never reports one.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns shutdown
     signal.signal(signal.SIGTERM, signal.SIG_IGN)  # ... and drain
@@ -193,7 +201,12 @@ def _query_worker_main(task_q, conn, conf) -> None:
     faults_mod.fire("pool.worker.start")
     conn.send((None, "ready", None))
     while True:
-        msg = task_q.get()
+        try:
+            msg = task_q.get(timeout=_LIFELINE_CHECK)
+        except queue.Empty:
+            if lifeline.poll():  # readable means EOF: the pool is gone
+                return
+            continue
         if msg is None:
             return
         task_id, req, attempt, max_states, timeout = msg
@@ -309,6 +322,7 @@ class _Worker:
     proc: Any
     task_q: Any
     conn: Any  # the parent's end of this worker's private result pipe
+    lifeline: Any  # the write end of the worker's lifeline, never written
     busy_task: Optional[int] = None
     ready: bool = False  # sent its warm-up message (interpreter booted)
     kill_at: Optional[float] = None
@@ -350,12 +364,28 @@ class _Worker:
             self.eof = True
 
     def dispose(self) -> None:
-        """Reap the (dead) process and release its pipes."""
+        """Reap the (dead) process and release its pipes.  A worker
+        without a real exit status (:data:`_NO_STATUS`: the forkserver
+        that reports it is gone) may still be running, so it is killed
+        by pid first."""
         self.proc.join()
+        if self.proc.exitcode == _NO_STATUS:
+            try:
+                os.kill(self.proc.pid, signal.SIGKILL)
+            except OSError:
+                pass  # it did exit
+        self.lifeline.close()
         self.conn.close()
         self.task_q.cancel_join_thread()
         self.task_q.close()
 
+
+#: the exit code ``popen_forkserver`` reports when it cannot read a
+#: worker's status because the forkserver died (say, a process-group
+#: SIGTERM): not a real exit, and the worker may still be running
+_NO_STATUS = 255
+#: how often an idle worker checks its lifeline, in seconds
+_LIFELINE_CHECK = 1.0
 
 #: what the forkserver imports before it forks any worker
 _PRELOAD = ["repro.supervise.pool"]
@@ -401,17 +431,31 @@ def _worker_context():
 
 
 def _start_worker(ctx, uid: int, conf: Dict[str, Any]) -> _Worker:
+    """Fork one worker; raises ``EOFError``/``OSError`` when the
+    forkserver died under the request."""
     task_q = ctx.Queue()
     conn, child_conn = ctx.Pipe(duplex=False)
+    child_lifeline, lifeline = ctx.Pipe(duplex=False)
     conf = dict(conf, failpoints=faults_mod.schedule())
     proc = ctx.Process(
-        target=_query_worker_main, args=(task_q, child_conn, conf), daemon=True
+        target=_query_worker_main,
+        args=(task_q, child_conn, child_lifeline, conf),
+        daemon=True,
     )
-    proc.start()
-    # drop our copy of the write end: EOF on ``conn`` now means exactly
-    # that the worker is gone
-    child_conn.close()
-    return _Worker(uid, proc, task_q, conn)
+    try:
+        proc.start()
+    except BaseException:
+        for end in (conn, lifeline):
+            end.close()
+        task_q.close()
+        raise
+    finally:
+        # drop our copies of the worker's ends: EOF on ``conn`` now
+        # means exactly that the worker is gone, and on its lifeline
+        # that we are
+        child_conn.close()
+        child_lifeline.close()
+    return _Worker(uid, proc, task_q, conn, lifeline)
 
 
 def _sleep_until_event(workers, deadlines, *extra) -> None:
@@ -707,8 +751,16 @@ class QueryWorkerPool:
         else:
             self._finalize(tid, _unknown_outcome(resource))
 
-    def _spawn(self, slot: int) -> _Worker:
-        w = _start_worker(self._ctx, next(self._next_uid), self._conf)
+    def _spawn(self, slot: int) -> Optional[_Worker]:
+        """A new worker for ``slot``, or ``None`` when the forkserver
+        died under the request: a boot death (the next spawn starts a
+        new server)."""
+        try:
+            w = _start_worker(self._ctx, next(self._next_uid), self._conf)
+        except (EOFError, OSError):
+            self._boot_deaths += 1
+            self._boot_exitcode = None
+            return None
         with self._lock:
             self._spawns += 1
             if slot in self._slots_used:
@@ -856,7 +908,7 @@ class QueryWorkerPool:
                     drain_deadline = self._drain_deadline
                 if stopping and (not unfinished or now >= drain_deadline):
                     return
-                idle = False
+                idle = spawn_failed = False
                 for slot in range(self.workers):
                     w = slots[slot]
                     if w is None:
@@ -866,6 +918,9 @@ class QueryWorkerPool:
                         # pay worker start time, and a replacement must
                         # exist before the next crash
                         slots[slot] = w = self._spawn(slot)
+                        if w is None:
+                            spawn_failed = True
+                            continue
                     if w.busy_task is not None or w.retiring:
                         continue
                     tid = self._next_dispatchable(now)
@@ -878,6 +933,8 @@ class QueryWorkerPool:
                 # backoff or expiry (when a worker could take it), the
                 # drain's end
                 deadlines = [w.kill_at for w in slots if w is not None]
+                if spawn_failed:
+                    deadlines.append(now + 0.05)  # try the slot again soon
                 if stopping:
                     deadlines.append(drain_deadline)
                 if idle:
@@ -949,18 +1006,19 @@ class _ScanPool(QueryWorkerPool):
 
 
 class SupervisedScanner:
-    """Classify conflicting pairs in parallel, surviving worker death.
+    """The ``--jobs N`` executor of
+    :meth:`~repro.races.detector.RaceDetector.feasible_races`: a scan's
+    pairs on a private :class:`QueryWorkerPool`, surviving worker death.
 
-    Usable directly as the ``runner`` argument of
-    :meth:`~repro.races.detector.RaceDetector.feasible_races`.  Each
-    :meth:`scan` runs on a private :class:`QueryWorkerPool` of ``jobs``
-    workers, one ``relation="race"`` request per pair with the per-pair
-    timeout and the scan deadline, under the pool's budget, wall-kill
-    and retry rules (an unbudgeted scan may run for days).  Results,
-    tallies, profiles, spans and lifecycle records are folded in on
-    the calling thread, never the pool's supervisor thread: checkpoint
-    appends defer ``SIGINT`` (main thread only), and the status board
-    has one writer.
+    :meth:`start` submits every pair up front, one ``relation="race"``
+    request each, under the pool's budget, wall-kill and retry rules (an
+    unbudgeted scan may run for days).  :meth:`next` blocks on the scan
+    loop's thread for the next finished pair, a
+    :class:`~repro.races.detector.PairResult` with the worker's planner
+    and profile snapshots, or the next worker lifecycle record.
+    :meth:`interrupt` starts no further pair; the pairs in flight get
+    ``drain_grace`` seconds to answer, and :meth:`next` hands back those
+    answers only.
 
     Parameters
     ----------
@@ -974,26 +1032,16 @@ class SupervisedScanner:
         Seconds an interrupted scan waits for the answers of pairs
         already in flight.
     tracer:
-        A :class:`~repro.obs.trace.TraceSink`; when enabled, workers
-        record their query spans into a bounded in-memory sink and ship
-        them home with each result, and the scan adds worker lifecycle
-        events (spawn/ready/retry/crash/retire plus dispatch/result
-        bounds around every attempt) -- so a parallel scan's trace is
-        as complete as a serial one's.
-        After :meth:`scan` returns, :attr:`worker_restarts` counts the
-        workers that were replaced after dying.  A scan whose workers
-        all die before they report ready raises
-        :class:`PoolBootFailure` (its one-line message names how many
-        and the last exit code) instead of returning every pair
-        ``UNKNOWN (crash)``.
-    board:
-        A :class:`~repro.obs.server.StatusBoard` (duck-typed:
-        ``observe``/``merge_planner``/``merge_profile``).  Every worker
-        lifecycle record is mirrored to it and each result's planner /
-        profile snapshot is merged as it lands, so a ``--serve``
-        endpoint shows per-worker liveness, the current pair and
-        restart counts while the scan is still running.  Also settable
-        after construction via the :attr:`board` attribute.
+        A :class:`~repro.obs.trace.TraceSink`; when enabled, the workers'
+        query spans (shipped home with each result) and the lifecycle
+        records are emitted to it, so a parallel scan's trace is as
+        complete as a serial one's.
+
+    After a scan, :attr:`worker_restarts` counts the workers that were
+    replaced after dying.  A scan whose workers all die before they
+    report ready raises :class:`PoolBootFailure` (its one-line message
+    names how many and the last exit code) instead of returning every
+    pair ``UNKNOWN (crash)``.
     """
 
     def __init__(
@@ -1004,7 +1052,6 @@ class SupervisedScanner:
         retry: Optional[RetryPolicy] = None,
         drain_grace: float = 1.0,
         tracer=NULL_SINK,
-        board=None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -1013,30 +1060,20 @@ class SupervisedScanner:
         self.retry = retry if retry is not None else RetryPolicy()
         self.drain_grace = drain_grace
         self.tracer = tracer if tracer is not None else NULL_SINK
-        self.board = board
         self.worker_restarts = 0  # of the most recent scan
+        self._pool: Optional[_ScanPool] = None
 
     # ------------------------------------------------------------------
-    def __call__(self, exe, tasks, options, on_classified=None):
-        return self.scan(exe, tasks, options, on_classified)
-
-    def scan(
-        self,
-        exe,
-        tasks: Sequence[PairTask],
-        options: PairScanOptions,
-        on_classified: Optional[Callable[[PairClassification], None]] = None,
-    ) -> Tuple[List[PairClassification], bool, Dict[str, Any]]:
-        """Returns ``(classifications, interrupted, tier_snapshot)`` --
-        the third element aggregates each worker's per-pair
-        :class:`~repro.solve.planner.PlannerReport` so the parent's race
-        report still says which tiers answered."""
+    def start(self, exe, tasks: Sequence[PairTask],
+              options: PairScanOptions) -> None:
+        """Start a private pool and submit every pair of ``tasks``."""
         self.worker_restarts = 0
-        if not tasks:
-            return [], False, PlannerReport().snapshot()
-        tracer = self.tracer
-        traced = tracer is not None and tracer.enabled
-        board = self.board
+        self._exe, self._tasks = exe, tasks
+        self._events: "queue.SimpleQueue[Dict[str, Any]]" = queue.SimpleQueue()
+        self._unanswered = 0
+        self._draining = self._base_counted = False
+        self._boot_failure: Optional[str] = None
+        self._traced = self.tracer.enabled
         request = {
             "fingerprint": serialize.execution_fingerprint(exe),
             "execution": serialize.canonical_json(exe),
@@ -1046,123 +1083,84 @@ class SupervisedScanner:
             "timeout": options.pair_timeout,
             "deadline": options.deadline,
         }
-        done: Dict[int, PairClassification] = {}
-        task_of: Dict[int, PairTask] = {}  # submitted, not yet folded in
-        tier_report = PlannerReport()  # aggregated from worker payloads
-        scan_profile = SearchProfile() if options.profile else None
-        base_counted = False
-        events: "queue.SimpleQueue[Dict[str, Any]]" = queue.SimpleQueue()
-        pool: Optional[_ScanPool] = None
+        self._pool = _ScanPool(
+            self._events, options, workers=self.jobs, limits=self.limits,
+            retry=self.retry, trace=self._traced,
+        )
+        # a fresh pool numbers its tasks from 0, so a task id is the
+        # index of its pair in ``tasks``
+        for a, b, _ in tasks:
+            self._pool.submit(dict(request, a=a, b=b))
+            self._unanswered += 1
 
-        def emit(record: Dict[str, Any]) -> None:
-            if traced:
-                tracer.emit(record)
-            if board is not None:
-                board.observe(record)
-
-        def merge_planner(snap: Dict[str, Any]) -> None:
-            tier_report.merge(snap)
-            if board is not None:
-                board.merge_planner(snap)
-
-        def emit_spans(spans) -> None:
-            for span in spans or ():
-                # the daemon's evaluation bound: a scan's dispatch and
-                # result records already bound each attempt
-                if traced and span["kind"] != "serve.worker.eval":
-                    tracer.emit(span)
-
-        def fold(event: Dict[str, Any], answers_only: bool = False) -> None:
-            nonlocal base_counted
+    def next(self):
+        """The next finished pair or lifecycle record; ``None`` once
+        every pair is answered and the pool is shut down."""
+        while True:
+            if not self._unanswered:
+                # stop the pool; the records it noted after the last
+                # answer (say, a replacement's spawn) still go out
+                self.close()
+                if self._events.empty():
+                    if self._boot_failure is not None:
+                        raise PoolBootFailure(self._boot_failure)
+                    return None
+            event = self._events.get()
             if event["kind"] != "job.done":
-                emit(event)
-                return
-            tid = event["tid"]
-            task = task_of.pop(tid, None)
-            if task is None:
-                return
-            outcome = pool.result(tid)
-            a, b, variables = task
-            if "classification" not in outcome:
-                # the pool gave up on the pair (crash, memory, deadline);
-                # a drain folds in answers only, and a pool no worker of
-                # which could start journals nothing a resume would reuse
-                if answers_only or pool.boot_failure is not None:
-                    return
-                c = PairClassification(
-                    a, b, UNKNOWN, variables, resource=outcome["resource"]
-                )
-            else:
-                base = outcome.get("base")
-                if base is not None and not base_counted:
-                    base_counted = True
-                    merge_planner(base["planner"])
-                    emit_spans(base.get("spans"))
-                merge_planner(outcome["planner"])
-                profile_snap = outcome.get("profile")
-                if profile_snap:
-                    if scan_profile is not None:
-                        scan_profile.merge(profile_snap)
-                    if board is not None:
-                        board.merge_profile(profile_snap)
-                emit_spans(outcome.get("spans"))
-                c = serialize.classification_from_dict(
-                    exe, outcome["classification"]
-                )
-            done[tid] = c
-            if on_classified is not None:
-                on_classified(c)
+                if self._traced:
+                    self.tracer.emit(event)
+                return event
+            if self._unanswered:
+                self._unanswered -= 1
+                result = self._answer(event["tid"])
+                if result is not None:
+                    return result
 
-        interrupted = hard_interrupt = False
-        boot_failure = None
-        try:
-            pool = _ScanPool(
-                events, options, workers=self.jobs, limits=self.limits,
-                retry=self.retry, trace=traced,
-            )
-            for task in tasks:
-                task_of[pool.submit(dict(request, a=task[0], b=task[1]))] = task
-            while task_of:
-                fold(events.get())
-        except KeyboardInterrupt:
-            interrupted = True
-            if board is not None:
-                # flips /readyz to 503 while the prefix is folded in
-                board.set_state("draining")
-            # fold in the answers of pairs already in flight, briefly; a
-            # SECOND interrupt during the drain means "now" -- stop
-            # draining, let the finally terminate the workers, then
-            # re-raise so the process exits 130 without writing another
-            # record
-            try:
-                if pool is not None:
-                    pool.interrupt(self.drain_grace)
-                    while task_of:
-                        fold(events.get(), answers_only=True)
-            except KeyboardInterrupt:
-                hard_interrupt = True
-        finally:
-            if pool is not None:
-                pool.close(drain=False)
-                self.worker_restarts = pool.stats()["restarts"]
-                boot_failure = pool.boot_failure
-        if hard_interrupt:
-            raise KeyboardInterrupt
-        # lifecycle records the pool noted after the last result (say,
-        # a replacement's spawn)
-        while not events.empty():
-            event = events.get()
-            if event["kind"] != "job.done":
-                emit(event)
-        if boot_failure is not None:
-            raise PoolBootFailure(boot_failure)
-        results = [done[tid] for tid in sorted(done)]
-        snap = tier_report.snapshot()
-        if scan_profile is not None:
-            # piggyback on the tier snapshot (the detector pops it back
-            # out): the runner protocol stays a 3-tuple
-            snap["profile"] = scan_profile.snapshot()
-        return results, interrupted, snap
+    def interrupt(self) -> None:
+        self._draining = True
+        if self._pool is not None:
+            self._pool.interrupt(self.drain_grace)
+
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close(drain=False)
+            self.worker_restarts = pool.stats()["restarts"]
+            self._boot_failure = pool.boot_failure
+
+    def _emit_spans(self, spans) -> None:
+        for span in spans or ():
+            # the daemon's evaluation bound: a scan's dispatch and
+            # result records already bound each attempt
+            if span["kind"] != "serve.worker.eval":
+                self.tracer.emit(span)
+
+    def _answer(self, tid: int) -> Optional[PairResult]:
+        outcome = self._pool.result(tid)
+        if "classification" not in outcome:
+            # the pool gave up on the pair (crash, memory, deadline); a
+            # drain hands back answers only, and a pool no worker of
+            # which could start hands back nothing a resume would reuse
+            if self._draining or self._pool.boot_failure is not None:
+                return None
+            a, b, variables = self._tasks[tid]
+            return PairResult(PairClassification(
+                a, b, UNKNOWN, variables, resource=outcome["resource"]
+            ))
+        snapshots = (outcome["planner"],)
+        base = outcome.get("base")
+        if base is not None and not self._base_counted:
+            self._base_counted = True
+            snapshots = (base["planner"],) + snapshots
+            self._emit_spans(base.get("spans"))
+        self._emit_spans(outcome.get("spans"))
+        return PairResult(
+            serialize.classification_from_dict(
+                self._exe, outcome["classification"]
+            ),
+            snapshots,
+            outcome.get("profile"),
+        )
 
 
 __all__ = [

@@ -179,7 +179,7 @@ class TestStatusBoard:
         assert snap["budget"]["remaining_seconds"] == 0.0
         assert snap["eta_seconds"] == 0.0  # the deadline cuts the scan
 
-    def test_merged_planner_and_profile_surface(self):
+    def test_planner_and_profile_surface(self):
         board = StatusBoard()
         report = PlannerReport()
         report.record_answer("engine", states=7, elapsed=0.1)
@@ -187,22 +187,18 @@ class TestStatusBoard:
         prof.charge_search()
         prof.charge_state((3, "P", "s"))
         board.begin_scan(total=1)
-        board.merge_planner(report.snapshot())
-        board.merge_profile(prof.snapshot())
+        board.planner, board.profile = report, prof
         board.publish()
         snap = board.latest()
         assert snap["planner"]["tiers"]["engine"]["states"] == 7
         assert snap["profile"]["choices"]["3|P|s"]["states"] == 1
 
-    def test_providers_read_live_objects(self):
+    def test_board_reads_the_live_objects(self):
         report = PlannerReport()
         prof = SearchProfile()
         board = StatusBoard()
-        board.begin_scan(
-            total=1,
-            planner_provider=report.snapshot,
-            profile_provider=prof.snapshot,
-        )
+        board.begin_scan(total=1)
+        board.planner, board.profile = report, prof
         report.record_answer("witness", states=0, elapsed=0.0)
         prof.charge_search()
         board.publish()
@@ -224,11 +220,10 @@ class TestRenderStatusMetrics:
         report = PlannerReport()
         report.queries = 2
         report.record_answer("engine", states=11, elapsed=0.5)
-        board.merge_planner(report.snapshot())
         prof = SearchProfile()
         prof.charge_search()
         prof.charge_state((1, "P", "s"))
-        board.merge_profile(prof.snapshot())
+        board.planner, board.profile = report, prof
         board.observe({"kind": "worker.spawn", "worker": 0})
         board.observe({"kind": "worker.crash", "worker": 0, "resource": "crash"})
         samples = _parse_prometheus(render_status(board.latest(), SCAN_METRICS))
@@ -720,11 +715,10 @@ class TestServedLiveScan:
             scanner = SupervisedScanner(
                 jobs=2,
                 retry=RetryPolicy(max_retries=0, backoff_base=0.01),
-                board=board,
             )
             board.begin_scan(total=len(pairs))
             report = RaceDetector(exe).feasible_races(
-                runner=scanner, on_classified=board.pair_done
+                runner=scanner, on_classified=board.pair_done, board=board
             )
             board.set_state("done")
             _, body = _get(srv.url("/status"))
@@ -751,10 +745,11 @@ class TestServedLiveScan:
         exe = masking_execution(3)
         board = StatusBoard()
         profile = SearchProfile()
-        scanner = SupervisedScanner(jobs=2, board=board)
+        scanner = SupervisedScanner(jobs=2)
         board.begin_scan(total=len(exe.conflicting_pairs()))
         RaceDetector(exe).feasible_races(
-            runner=scanner, on_classified=board.pair_done, profile=profile
+            runner=scanner, on_classified=board.pair_done, profile=profile,
+            board=board,
         )
         board.set_state("done")
         assert board.latest()["profile"] == profile.snapshot()

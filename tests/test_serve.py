@@ -95,6 +95,22 @@ def _query_request(exe, relation="ccw", pair=None, **extra):
     return req
 
 
+def _running(pid):
+    """Whether ``pid`` is a process that has not exited (a zombie
+    waiting for its reaper has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc: ask the kernel
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
 def _ccw_true_pair(exe):
     """An event pair whose CCW verdict is TRUE but which a *fresh*
     planner must hand to the exact engine -- so the first daemon query
@@ -457,6 +473,41 @@ class TestQueryWorkerPool:
             outcome = pool.result(tid, timeout=60.0)
         assert outcome["verdict"] == "UNKNOWN"
         assert outcome["resource"] == "deadline"
+
+    @pytest.mark.skipif(
+        not hasattr(os, "killpg"), reason="needs POSIX signals"
+    )
+    def test_forkserver_death_leaves_no_worker_behind(self):
+        """A process-group SIGTERM also kills the forkserver the workers
+        came from; the pool can then no longer read their exit status
+        (``popen_forkserver`` reports 255) although they still run, and
+        they ignore SIGTERM.  ``close()`` must still leave none of them
+        running, and the next pool must start and answer."""
+        from multiprocessing import forkserver
+
+        exe = masking_execution(2)
+        request = _query_request(exe, "feasible", timeout=60.0)
+        pool = QueryWorkerPool(workers=1)
+        try:
+            assert pool.result(pool.submit(request), timeout=120.0)[
+                "verdict"
+            ] == "TRUE"
+            worker = pool._slots[0].proc.pid
+            server = forkserver._forkserver._forkserver_pid
+            os.kill(server, signal.SIGTERM)
+            deadline = time.monotonic() + 10.0
+            while _running(server) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.2)  # the supervisor retires the "dead" worker
+        finally:
+            pool.close()
+        deadline = time.monotonic() + 5.0
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(worker)
+        with QueryWorkerPool(workers=1) as pool:
+            outcome = pool.result(pool.submit(request), timeout=120.0)
+        assert outcome["verdict"] == "TRUE"
 
     def test_close_finalizes_waiters_as_shutdown(self):
         exe = masking_execution(2)

@@ -27,7 +27,7 @@ from repro.lang.ast import Assign, Const, ProcessDef, Program, SemP, SemV, Share
 from repro.lang.interpreter import run_program
 from repro.lang.scheduler import FixedScheduler
 from repro.model import serialize
-from repro.obs.trace import RecordingSink
+from repro.obs.trace import RecordingSink, read_trace
 from repro.races import detector as detector_mod
 from repro.races.detector import UNKNOWN, RaceDetector
 from repro.supervise import (
@@ -411,6 +411,52 @@ class TestKillAndResume:
         assert proc.returncode == 130
         assert b"interrupted" in err
         assert pair_count(str(journal)) == len(pairs) - 1
+
+    def test_sigint_during_a_journal_append_ends_gracefully(self, tmp_path):
+        """Ctrl-C while a serial scan appends a pair to its journal (the
+        append defers the signal and re-raises it after the write): the
+        scan still ends like any interrupted scan -- the partial report,
+        a trace closed by ``profile`` and an interrupted ``scan.end``,
+        exit 130 and a journal ``--resume`` accepts."""
+        if signal.getsignal(signal.SIGINT) == signal.SIG_IGN:
+            pytest.skip("SIGINT is ignored in this environment")
+        exe = masking_execution(3)
+        exe_path = tmp_path / "mask3.json"
+        serialize.save(exe, str(exe_path))
+        journal, trace = tmp_path / "j.jsonl", tmp_path / "t.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        # append 1 is the journal header, 3 the second pair's record
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "races", str(exe_path),
+                "--checkpoint", str(journal), "--trace", str(trace),
+                "--profile", str(tmp_path / "p.json"),
+                "--failpoints", "checkpoint.append=sleep:3@nth=3",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            start_new_session=True,
+        )
+        try:
+            try:
+                _wait_for_journal(journal, 1)
+                time.sleep(0.5)  # into the second append's sleep
+            finally:
+                _killpg_quietly(proc, signal.SIGINT)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            _killpg_quietly(proc, signal.SIGKILL)
+        assert proc.returncode == 130
+        assert b"(interrupted: 2/3 pairs classified)" in out
+        records = read_trace(str(trace))
+        assert [r["kind"] for r in records[-2:]] == ["profile", "scan.end"]
+        assert records[-1]["interrupted"] is True
+        assert records[-1]["done"] == 2
+        assert pair_count(str(journal)) == 2
+        assert cli_main([
+            "races", str(exe_path), "--checkpoint", str(journal), "--resume",
+        ]) == 0
+        assert pair_count(str(journal)) == 3
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,10 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
+from repro.model import serialize
 from repro.obs import TraceSummary
+from repro.obs.trace import read_trace
+from tests.test_supervise import masking_execution
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "traces")
 VIEWS = ("summarize", "serve-summary", "profile", "timeline")
@@ -78,3 +81,42 @@ def test_views_with_nothing_to_show_return_none():
     assert summary.describe_profile() is None
     assert summary.describe_timeline() is None
     assert summary.describe_serve() == "requests: 0 across 0 endpoint(s)"
+
+
+def _untimed(record):
+    """A trace record without what varies from run to run: the ``t``
+    stamps and ``elapsed`` durations, at any depth."""
+    if isinstance(record, dict):
+        return {
+            key: _untimed(value)
+            for key, value in record.items()
+            if key not in ("t", "elapsed")
+        }
+    if isinstance(record, list):
+        return [_untimed(value) for value in record]
+    return record
+
+
+def _pinned_records(path):
+    return [
+        _untimed(rec) for rec in read_trace(path)
+        if rec["kind"] != "engine.tick"  # throttled by wall time
+    ]
+
+
+def test_serial_scan_records_the_serial_fixture(tmp_path, capsys):
+    """Re-record the ``serial`` fixture (a ``--trace --checkpoint`` scan
+    of ``masking_execution(3)``): the same records in the same order,
+    up to timing and the wall-clock-throttled engine ticks."""
+    exe_path = tmp_path / "mask3.json"
+    serialize.save(masking_execution(3), str(exe_path))
+    trace = tmp_path / "serial.jsonl"
+    status = cli_main([
+        "races", str(exe_path), "--trace", str(trace),
+        "--checkpoint", str(tmp_path / "journal.jsonl"),
+    ])
+    capsys.readouterr()
+    assert status == 0
+    assert _pinned_records(str(trace)) == _pinned_records(
+        os.path.join(DATA, "serial.jsonl")
+    )
