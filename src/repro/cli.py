@@ -72,7 +72,6 @@ import json
 import signal
 import sys
 import threading
-import time
 from typing import List, Optional
 
 from repro.analysis import ProgramAnalysis
@@ -92,9 +91,10 @@ from repro.obs import (
     SearchProfile,
     StatusBoard,
     planner_metrics,
-    scan_metrics,
+    render_status,
     summarize_trace,
 )
+from repro.obs.server import SCAN_METRICS
 from repro.races.detector import RaceDetector
 from repro.reductions import (
     decide_sat_via_ordering,
@@ -171,28 +171,28 @@ def _budget_from_args(args: argparse.Namespace) -> Optional[Budget]:
     return Budget.of(max_states=max_states, timeout=timeout)
 
 
-def _start_server(port: int):
-    """Bind the live ``--serve`` endpoint, loudly and eagerly.
+def _start_server(board: StatusBoard, port: int) -> Optional[ObsServer]:
+    """Bind the live ``--serve`` endpoint over ``board``, loudly and
+    eagerly.
 
-    Returns ``(board, server)`` on success and ``(None, None)`` after
-    printing one diagnostic line when the port cannot be bound -- the
-    caller turns that into exit status 2 *before* any scan work starts,
-    so a typo'd port never silently runs an unobservable hour-long scan.
+    Returns the server, or ``None`` after printing one diagnostic line
+    when the port cannot be bound -- the caller turns that into exit
+    status 2 *before* any scan work starts, so a typo'd port never
+    silently runs an unobservable hour-long scan.
     """
-    board = StatusBoard()
     try:
         server = ObsServer(board, port).start()
     except OSError as exc:
         print(
             f"repro: cannot serve on port {port}: {exc}", file=sys.stderr
         )
-        return None, None
+        return None
     print(
         f"repro: serving /status /metrics /healthz on "
         f"http://{server.host}:{server.port}",
         file=sys.stderr,
     )
-    return board, server
+    return server
 
 
 def _save_profile(profile: SearchProfile, path: str) -> None:
@@ -316,12 +316,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             profile = SearchProfile() if args.profile else None
             board = server = None
             if args.serve is not None:
-                board, server = _start_server(args.serve)
+                board = StatusBoard()
+                server = _start_server(board, args.serve)
                 if server is None:
                     return EXIT_USAGE
-                board.begin_scan(
-                    total=0, fingerprint=args.execution, budget=budget
-                )
+                board.fingerprint = args.execution
+                board.begin_scan(total=0, budget=budget)
                 board.planner, board.profile = q.planner.report, profile
                 q.planner.attach_board(board)
             sink = JsonlTraceSink(args.trace) if args.trace else None
@@ -426,9 +426,9 @@ def cmd_races(args: argparse.Namespace) -> int:
     )
     if not feasible_wanted:
         return 0
-    board = server = None
+    board, server = StatusBoard(), None
     if args.serve is not None:
-        board, server = _start_server(args.serve)
+        server = _start_server(board, args.serve)
         if server is None:
             return EXIT_USAGE
     try:
@@ -442,18 +442,16 @@ def _feasible_scan(
     args: argparse.Namespace, exe, detector, budget, plan, board
 ) -> int:
     """The supervised feasible scan behind ``repro races`` (everything
-    past the apparent report); ``board`` is the live ``--serve`` status
-    board or None."""
+    past the apparent report).  ``board`` is the scan's status board:
+    the scan counts into it, and the progress line, ``--serve`` and the
+    ``--metrics`` file are views of its snapshots."""
     journal = None
     precomputed = {}
-    fingerprint = None
     profile = SearchProfile() if args.profile else None
     tracer = JsonlTraceSink(args.trace) if args.trace else None
-    traced = tracer is not None
-    t0 = time.monotonic()
     try:
         if args.checkpoint:
-            fingerprint = scan_fingerprint(
+            board.fingerprint = scan_fingerprint(
                 exe,
                 max_states=args.max_states,
                 per_pair_max_states=args.per_pair_states,
@@ -466,7 +464,7 @@ def _feasible_scan(
                 por=args.por,
             )
             journal = CheckpointJournal.open(
-                args.checkpoint, fingerprint, resume=args.resume
+                args.checkpoint, board.fingerprint, resume=args.resume
             )
             precomputed = journal.classifications(exe)
             if precomputed:
@@ -474,50 +472,29 @@ def _feasible_scan(
                     f"resume: reusing {len(precomputed)} journaled pair(s) "
                     f"from {args.checkpoint}"
                 )
-        todo = len(exe.conflicting_pairs()) - len(precomputed)
-        progress = ScanProgress(todo, budget=budget)
-        checkpoint_writes = [0]
+        progress = ScanProgress(
+            len(exe.conflicting_pairs()) - len(precomputed)
+        )
+        board.on_publish = progress.update
 
-        def on_classified(c):
-            if journal is not None:
-                journal.append(c)
-                checkpoint_writes[0] += 1
-                if board is not None:
-                    board.note_checkpoint_write()
-                if traced:
-                    tracer.emit(
-                        {"kind": "checkpoint.write", "a": c.a, "b": c.b}
-                    )
-            if board is not None:
-                board.pair_done(c)
-            progress.update(c)
+        def journaled(c):
+            # counted first: a Ctrl-C that arrives during the append is
+            # raised out of it once the record is written
+            board.note_checkpoint_write()
+            journal.append(c)
+            if tracer is not None:
+                tracer.emit({"kind": "checkpoint.write", "a": c.a, "b": c.b})
 
-        runner = _races_runner(args, tracer)
-        if board is not None:
-            board.begin_scan(
-                total=len(exe.conflicting_pairs()),
-                fingerprint=fingerprint,
-                budget=budget,
-            )
-            # journaled pairs count immediately: /status totals always
-            # match the final report, resumed or not (fresh=False keeps
-            # them out of the observed pair rate and the ETA)
-            for c in precomputed.values():
-                board.pair_done(c, fresh=False)
         try:
             feasible = detector.feasible_races(
                 per_pair_max_states=args.per_pair_states,
-                runner=runner,
+                runner=_races_runner(args, tracer),
                 precomputed=precomputed,
-                on_classified=on_classified,
+                on_classified=journaled if journal is not None else None,
                 tracer=tracer,
                 profile=profile,
                 board=board,
             )
-            if board is not None:
-                board.set_state(
-                    "interrupted" if feasible.interrupted else "done"
-                )
         finally:
             progress.finish()
             if journal is not None:
@@ -526,15 +503,10 @@ def _feasible_scan(
         if tracer is not None:
             tracer.close()
     if args.metrics:
-        registry = MetricsRegistry()
-        scan_metrics(
-            registry,
-            feasible,
-            elapsed=time.monotonic() - t0,
-            worker_restarts=runner.worker_restarts if runner is not None else 0,
-            checkpoint_writes=checkpoint_writes[0],
+        # the --metrics file is the /metrics body at scan end
+        atomic_write_text(
+            args.metrics, render_status(board.latest(), SCAN_METRICS)
         )
-        registry.write(args.metrics)
     print(feasible.pretty())
     if feasible.planner is not None and feasible.planner.queries:
         print(feasible.planner.describe())
@@ -880,9 +852,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "(query tiers, worker lifecycle, checkpoint writes; "
                    "implies --feasible; see 'repro trace summarize')")
     p.add_argument("--metrics", metavar="FILE",
-                   help="write a Prometheus-style text snapshot of the "
-                   "finished scan (pairs by outcome, tier tallies, "
-                   "worker restarts; implies --feasible)")
+                   help="write the finished scan's /metrics body, a "
+                   "Prometheus-style text snapshot (pairs by outcome, "
+                   "tier tallies, worker spawns; implies --feasible)")
     p.add_argument("--profile", metavar="FILE",
                    help="profile the exact searches (attribute engine "
                    "states to branch choice points), print the "

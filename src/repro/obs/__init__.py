@@ -19,17 +19,20 @@ tiered solver portfolio.  This package records *where* that time goes:
   trace profile``, ``--profile``).  A pure observer: identical
   classifications and identical ``states_visited`` with it on or off;
 * :mod:`repro.obs.metrics` -- a counter/gauge/histogram registry
-  rendered as a Prometheus-style text snapshot (``--metrics FILE``);
-* :mod:`repro.obs.progress` -- the live stderr progress line
-  (done/feasible/infeasible/unknown, rate, budget-aware ETA);
+  rendered as Prometheus text (``/metrics``, ``--metrics FILE``);
 * :mod:`repro.obs.server` -- the one HTTP server of the ``--serve
   PORT`` scan endpoint and the ``repro serve`` daemon (each supplies
-  only a route table), plus the scan's ``/status`` board publishing
-  immutable snapshots through a lock-free single-writer slot.
+  only a route table), plus the status board, the one fold of a CLI
+  scan's state, publishing immutable snapshots through a lock-free
+  single-writer slot;
+* :mod:`repro.obs.progress` -- the live stderr progress line, a view
+  of the board's snapshots, as ``/status``, ``/metrics`` and the
+  ``races --metrics`` file are.
 
-Everything defaults off (:data:`~repro.obs.trace.NULL_SINK`, ``profile
-is None``, no board) behind guards call sites check before building a
-record, so unobserved runs pay nothing.
+Tracing, profiling and library scans' boards default off
+(:data:`~repro.obs.trace.NULL_SINK`, ``profile is None``, no board)
+behind guards call sites check before building a record, so
+unobserved runs pay nothing.
 """
 
 from repro.obs.metrics import (
@@ -39,7 +42,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     planner_metrics,
     render_status,
-    scan_metrics,
 )
 from repro.obs.profile import SearchProfile
 from repro.obs.progress import ScanProgress
@@ -68,7 +70,6 @@ __all__ = [
     "MetricsRegistry",
     "planner_metrics",
     "render_status",
-    "scan_metrics",
     "SearchProfile",
     "ScanProgress",
     "HttpServer",

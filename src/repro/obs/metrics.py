@@ -1,11 +1,14 @@
 """A small counter/gauge/histogram registry with a Prometheus text view.
 
-The scan-side metrics a long run wants on a dashboard -- pairs
-classified by outcome, per-tier answer rates, engine states per
-second, worker restarts, checkpoint writes -- rendered in the
-Prometheus text exposition format so ``--metrics FILE`` snapshots drop
-straight into existing tooling (``promtool check metrics`` parses
-them).  Pure stdlib, no client library dependency.
+The metrics a long run wants on a dashboard -- pairs classified by
+outcome, per-tier answer rates, engine states per second, worker
+spawns and crashes, checkpoint writes -- rendered in the Prometheus
+text exposition format so ``/metrics`` bodies and ``--metrics FILE``
+snapshots drop straight into existing tooling (``promtool check
+metrics`` parses them).  A front end's ``/metrics`` body is
+:func:`render_status` over its status document; a scan's ``--metrics``
+file is that body at scan end.  Pure stdlib, no client library
+dependency.
 
 Metrics are identified by ``(name, labels)``; asking for the same pair
 twice returns the same instrument, so instrumented code does not need
@@ -273,42 +276,6 @@ def render_status(
     return registry.render()
 
 
-def scan_metrics(
-    registry: MetricsRegistry,
-    report,
-    *,
-    elapsed: Optional[float] = None,
-    worker_restarts: int = 0,
-    checkpoint_writes: int = 0,
-) -> MetricsRegistry:
-    """Populate ``registry`` from a finished
-    :class:`~repro.races.detector.RaceReport` (plus the scan-level
-    counts only the caller knows)."""
-    for c in report.classifications:
-        registry.counter(
-            "repro_pairs_classified_total",
-            "Conflicting pairs classified, by outcome",
-            labels={"status": c.status},
-        ).inc()
-    if report.planner is not None:
-        planner_metrics(registry, report.planner)
-    if elapsed is not None:
-        registry.gauge(
-            "repro_scan_elapsed_seconds", "Wall-clock duration of the scan"
-        ).set(elapsed)
-    registry.counter(
-        "repro_worker_restarts_total",
-        "Supervised workers replaced after dying mid-pair",
-    ).inc(worker_restarts)
-    registry.counter(
-        "repro_checkpoint_writes_total", "Pair records journaled durably"
-    ).inc(checkpoint_writes)
-    registry.gauge(
-        "repro_scan_interrupted", "1 when the scan was cut short by Ctrl-C"
-    ).set(1 if report.interrupted else 0)
-    return registry
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -318,5 +285,4 @@ __all__ = [
     "StatusMetric",
     "planner_metrics",
     "render_status",
-    "scan_metrics",
 ]

@@ -1,12 +1,15 @@
-"""A live one-line stderr progress meter for long scans.
+"""The live one-line stderr progress meter: a view of the status board.
 
-Prints ``scan 12/40 feasible=5 infeasible=6 unknown=1 3.1 pairs/s eta
-9s`` on a carriage-returned line, throttled so even a fast scan pays a
-handful of writes per second.  Enabled only when stderr is a terminal
-(or ``REPRO_PROGRESS=1`` forces it -- how the tests observe it), so
-piped/captured runs stay machine-readable.  When the scan carries a
-wall-clock budget the ETA is clamped to the remaining budget: a scan
-that will be cut off says so.
+:func:`progress_line` renders one published
+:class:`~repro.obs.server.StatusBoard` snapshot as ``scan 12/40
+feasible=5 infeasible=6 unknown=1 3.1 pairs/s eta 9s``, so the line
+agrees with ``/status`` and ``/metrics`` (a resumed scan's line counts
+its journaled pairs too).  A wall-clock budget caps the ETA: a scan
+that will be cut off says so.  :class:`ScanProgress` writes the line
+on a carriage-returned stderr line as the board publishes, throttled
+to a handful of writes per second, and only when stderr is a terminal
+(or ``REPRO_PROGRESS=1`` forces it -- how the tests observe it) and
+some pair is left to classify.
 """
 
 from __future__ import annotations
@@ -14,109 +17,94 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Optional
+from typing import Any, Dict, Optional
 
-from repro.budget import Budget
+
+def progress_line(snapshot: Dict[str, Any]) -> str:
+    """The progress line for one status-board snapshot.  The ETA comes
+    from the observed pair rate; a budget deadline only caps it."""
+    pairs = snapshot["pairs"]
+    rate = snapshot["rate_pairs_per_second"] or 0.0
+    remaining = pairs["total"] - pairs["done"]
+    budget = snapshot["budget"]
+    left = budget["remaining_seconds"] if budget is not None else None
+    if remaining <= 0:
+        eta = "done"
+    elif not rate:  # no pair classified yet: say so, not nothing
+        eta = "eta ?" if left is None else f"eta <={left:.0f}s"
+    elif left is not None and left < remaining / rate:
+        eta = f"eta {left:.0f}s (budget caps {remaining / rate:.0f}s)"
+    else:
+        eta = f"eta {remaining / rate:.0f}s"
+    return (
+        f"scan {pairs['done']}/{pairs['total']} feasible={pairs['feasible']}"
+        f" infeasible={pairs['infeasible']} unknown={pairs['unknown']}"
+        f" {rate:.1f} pairs/s {eta}"
+    )
 
 
 class ScanProgress:
-    """Incremental scan progress; feed it every classification."""
+    """A throttled carriage-return writer of :func:`progress_line`;
+    set :meth:`update` as the board's ``on_publish``.  ``todo`` is the
+    number of pairs the scan has left to classify."""
 
     def __init__(
         self,
-        total: int,
+        todo: int,
         *,
-        budget: Optional[Budget] = None,
         stream=None,
         enabled: Optional[bool] = None,
         min_interval: float = 0.1,
     ) -> None:
-        self.total = total
-        self.budget = budget
         self.stream = stream if stream is not None else sys.stderr
         if enabled is None:
             forced = os.environ.get("REPRO_PROGRESS", "") == "1"
             enabled = forced or bool(
                 getattr(self.stream, "isatty", lambda: False)()
             )
-        self.enabled = enabled and total > 0
+        self.enabled = enabled and todo > 0
         self.min_interval = min_interval
-        self.done = 0
-        self.counts = {"feasible": 0, "infeasible": 0, "unknown": 0}
-        self._t0 = time.monotonic()
-        self._last_render = 0.0
-        self._dirty = False
-        self._rendered = False  # anything on the line that needs a "\n"
+        self._last_render = float("-inf")
+        self._pending: Optional[Dict[str, Any]] = None  # not yet shown
+        self._width = 0  # the widest line written so far; 0: none yet
 
-    # ------------------------------------------------------------------
-    def update(self, classification) -> None:
-        self.done += 1
-        status = classification.status
-        self.counts[status] = self.counts.get(status, 0) + 1
-        self._dirty = True
+    def update(self, snapshot: Dict[str, Any]) -> None:
         if not self.enabled:
             return
+        self._pending = snapshot
+        pairs = snapshot["pairs"]
         now = time.monotonic()
-        if self.done < self.total and now - self._last_render < self.min_interval:
+        if (
+            pairs["done"] < pairs["total"]
+            and now - self._last_render < self.min_interval
+        ):
             return
         self._render(now)
 
     def finish(self) -> None:
-        """Render any pending state and terminate the line.
+        """Render any pending snapshot and terminate the line.
 
         The newline is owed whenever anything was ever rendered -- the
-        final ``update`` usually renders immediately (clearing
-        ``_dirty``), and skipping the newline then would glue the shell
-        prompt to the last progress line.
+        final snapshot usually renders immediately, and skipping the
+        newline then would glue the shell prompt to the progress line.
         """
         if not self.enabled:
             return
-        if self._dirty:
+        if self._pending is not None:
             self._render(time.monotonic())
-        if self._rendered:
+        if self._width:
             self.stream.write("\n")
             self.stream.flush()
 
-    # ------------------------------------------------------------------
-    def line(self, now: Optional[float] = None) -> str:
-        now = time.monotonic() if now is None else now
-        elapsed = max(1e-9, now - self._t0)
-        rate = self.done / elapsed
-        parts = [
-            f"scan {self.done}/{self.total}",
-            " ".join(
-                f"{status}={self.counts.get(status, 0)}"
-                for status in ("feasible", "infeasible", "unknown")
-            ),
-            f"{rate:.1f} pairs/s",
-        ]
-        remaining = self.total - self.done
-        if remaining <= 0:
-            parts.append("done")
-        else:
-            # the ETA always comes from the observed pair rate; a budget
-            # deadline only *caps* it.  Before the first classification
-            # there is no rate yet -- say so rather than print nothing.
-            eta = remaining / rate if rate > 0 else None
-            budget_left = (
-                self.budget.remaining_seconds() if self.budget is not None else None
-            )
-            if eta is None:
-                parts.append(
-                    "eta ?" if budget_left is None else f"eta <={budget_left:.0f}s"
-                )
-            elif budget_left is not None and budget_left < eta:
-                parts.append(f"eta {budget_left:.0f}s (budget caps {eta:.0f}s)")
-            else:
-                parts.append(f"eta {eta:.0f}s")
-        return " ".join(parts)
-
     def _render(self, now: float) -> None:
+        line = progress_line(self._pending)
         self._last_render = now
-        self._dirty = False
-        self._rendered = True
-        self.stream.write("\r" + self.line(now).ljust(78))
+        self._pending = None
+        # pad to the widest line so far: a shorter line (say, once the
+        # "(budget caps ...)" suffix drops away) must cover all of it
+        self._width = max(self._width, len(line))
+        self.stream.write("\r" + line.ljust(self._width))
         self.stream.flush()
 
 
-__all__ = ["ScanProgress"]
+__all__ = ["ScanProgress", "progress_line"]

@@ -27,7 +27,7 @@ Its table (:func:`scan_routes`, served by :class:`ObsServer`):
   and the merged search profile when profiling is on;
 * ``GET /metrics`` -- the same snapshot rendered live by
   :func:`~repro.obs.metrics.render_status` over :data:`SCAN_METRICS`
-  (scrapeable in place of the ``--metrics`` file snapshots).
+  (the ``--metrics`` file is this body at scan end).
 
 Concurrency model -- a lock-free single-writer slot: every mutator of
 :class:`StatusBoard` runs on the scan thread, which periodically
@@ -35,13 +35,17 @@ builds a fresh *immutable* snapshot dict and publishes it with one
 attribute assignment (atomic under the GIL).  Handler threads only
 ever read the latest published reference and serialize it; serving
 never takes a lock the classification loop could contend on, and a
-torn snapshot is impossible by construction.  Unserved runs pay
-nothing: with no board, every instrumentation site is a single ``is
-not None`` test, matching the :data:`~repro.obs.trace.NULL_SINK`
-convention.
+torn snapshot is impossible by construction.
 
-The server owns no policy: the CLI starts it before the scan, points
-it at the board the scan publishes through, and closes it on drain,
+The board is the one fold of a CLI scan's state:
+:meth:`~repro.races.detector.RaceDetector.feasible_races` counts the
+pairs into it, and ``/status``, ``/metrics``, the progress line (fed
+through :attr:`StatusBoard.on_publish`) and the ``--metrics`` file are
+views of its snapshots.  Library scans without a board pay one ``is
+not None`` test per pair.
+
+The server owns no policy: with ``--serve`` the CLI starts it before
+the scan, points it at the scan's board, and closes it on drain,
 SIGINT and ``--timeout`` expiry alike (the surrounding ``finally``).
 """
 
@@ -77,18 +81,20 @@ class StatusBoard:
     last published immutable snapshot -- possibly ``None`` before the
     first publish, and always a complete document after.
 
-    ``planner`` and ``profile`` are the scan's own
+    ``fingerprint`` (the scan's journal fingerprint, or ``None``),
+    ``planner`` and ``profile`` (the scan's own
     :class:`~repro.solve.planner.PlannerReport` and
-    :class:`~repro.obs.profile.SearchProfile` (or ``None``), read at
+    :class:`~repro.obs.profile.SearchProfile`, or ``None``) are read at
     every publish: whoever runs the scan points them at the objects it
     tallies into, on the scan thread, so reading them here is
-    race-free.
+    race-free.  ``on_publish``, when set, is called with every new
+    snapshot on the scan thread (the CLI's progress line).
     """
 
     def __init__(self) -> None:
         self._snapshot: Optional[Dict[str, Any]] = None
         self._state = "starting"
-        self._fingerprint: Optional[str] = None
+        self.fingerprint: Optional[str] = None
         self._total = 0
         self._counts: Dict[str, int] = {}
         self._fresh_done = 0
@@ -102,20 +108,14 @@ class StatusBoard:
         self._last_engine_publish = 0.0
         self.planner = PlannerReport()
         self.profile: Optional[SearchProfile] = None
+        self.on_publish: Optional[Callable[[Dict[str, Any]], None]] = None
         self.publish()
 
     # -- wiring (scan thread, before/while scanning) ---------------------
-    def begin_scan(
-        self,
-        *,
-        total: int,
-        fingerprint: Optional[str] = None,
-        budget=None,
-    ) -> None:
+    def begin_scan(self, *, total: int, budget=None) -> None:
         """Arm the board for a scan of ``total`` conflicting pairs."""
         self._state = "scanning"
         self._total = total
-        self._fingerprint = fingerprint
         self._budget = budget
         self._t0 = time.monotonic()
         self.publish()
@@ -193,7 +193,9 @@ class StatusBoard:
         """Build a fresh snapshot and swing the slot to it (one atomic
         reference assignment; readers see old-complete or new-complete,
         never a mix)."""
-        self._snapshot = self._build()
+        self._snapshot = snapshot = self._build()
+        if self.on_publish is not None:
+            self.on_publish(snapshot)
 
     def latest(self) -> Optional[Dict[str, Any]]:
         return self._snapshot
@@ -223,7 +225,7 @@ class StatusBoard:
             "service": "repro",
             "status_version": STATUS_VERSION,
             "state": self._state,
-            "fingerprint": self._fingerprint,
+            "fingerprint": self.fingerprint,
             "pairs": {
                 "total": self._total,
                 "done": done,
@@ -289,12 +291,13 @@ def _profile_states(doc: Dict[str, Any]) -> Optional[int]:
 
 
 #: the scan's ``/metrics`` table over a ``/status`` snapshot (see
-#: :func:`~repro.obs.metrics.render_status`); instrument names are
-#: shared with the ``--metrics`` file snapshots wherever the quantity
-#: is the same
+#: :func:`~repro.obs.metrics.render_status`), and so of its
+#: ``--metrics`` file
 SCAN_METRICS: Tuple[StatusMetric, ...] = (
     ("gauge", "repro_scan_up", "1 while the scan process serves",
      lambda doc: 1, None),
+    ("gauge", "repro_scan_interrupted", "1 when the scan was cut short by Ctrl-C",
+     lambda doc: int(doc["state"] == "interrupted") if doc else None, None),
     ("gauge", "repro_scan_pairs_total", "Conflicting pairs in the scan",
      ("pairs", "total"), None),
     ("gauge", "repro_scan_pairs_done", "Pairs classified so far",

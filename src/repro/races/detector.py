@@ -15,8 +15,8 @@ serial or parallel.  It walks the pairs not already classified
 or the crash-isolated pool of :class:`repro.supervise.SupervisedScanner`.
 Each :class:`PairResult` that comes back is handled in one place -- the
 scan's one :class:`~repro.solve.planner.PlannerReport` and profile, the
-``pair`` trace record, the status board, and ``on_classified`` (so a
-journal records a pair the moment it exists) -- and one ``try`` turns
+``pair`` trace record, ``on_classified`` (so a journal records a pair
+the moment it exists) and the status board -- and one ``try`` turns
 the first Ctrl-C anywhere in that loop into a partial report.
 """
 
@@ -413,9 +413,11 @@ class RaceDetector:
         sink).  ``profile`` (a :class:`~repro.obs.profile.SearchProfile`)
         accumulates choice-point attribution across the scan and rides
         on the report; profiling is a pure observer.  ``board`` (a
-        :class:`~repro.obs.server.StatusBoard`) reads the scan's report
-        and profile, sees every worker lifecycle record and engine tick,
-        and shows ``draining`` while an interrupted pool drains.
+        :class:`~repro.obs.server.StatusBoard`) is armed for the scan,
+        counts its pairs (``precomputed`` ones with ``fresh=False``),
+        reads its report and profile, sees every worker lifecycle record
+        and engine tick, and shows ``draining`` while an interrupted pool
+        drains, then ``done`` or ``interrupted``.
         """
         budget = self._effective_budget(budget)
         traced = tracer is not None and tracer.enabled
@@ -432,6 +434,9 @@ class RaceDetector:
                 todo.append((a, b, _conflict_variables(self.exe, a, b)))
         if board is not None:
             board.planner, board.profile = report, profile
+            board.begin_scan(total=len(pairs), budget=budget)
+            for c in classifications:  # journaled: no fresh work
+                board.pair_done(c, fresh=False)
         if traced:
             tracer.emit(
                 {"kind": "scan.start", "pairs": len(pairs), "todo": len(todo)}
@@ -455,8 +460,12 @@ class RaceDetector:
                 if c.decided_by is not None:
                     rec["decided_by"] = c.decided_by
                 tracer.emit(rec)
-            if on_classified is not None:
-                on_classified(c)
+            try:
+                if on_classified is not None:
+                    on_classified(c)
+            finally:  # a Ctrl-C out of on_classified: c is in the report
+                if board is not None:
+                    board.pair_done(c)
 
         interrupted = False
         if todo:
@@ -502,6 +511,8 @@ class RaceDetector:
                     fold_all()  # a second Ctrl-C propagates
             finally:
                 runner.close()
+        if board is not None:
+            board.set_state("interrupted" if interrupted else "done")
         order = {pair: i for i, pair in enumerate(pairs)}
         classifications.sort(key=lambda c: order[(c.a, c.b)])
         races = [

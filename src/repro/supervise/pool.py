@@ -1037,11 +1037,11 @@ class SupervisedScanner:
         records are emitted to it, so a parallel scan's trace is as
         complete as a serial one's.
 
-    After a scan, :attr:`worker_restarts` counts the workers that were
-    replaced after dying.  A scan whose workers all die before they
-    report ready raises :class:`PoolBootFailure` (its one-line message
-    names how many and the last exit code) instead of returning every
-    pair ``UNKNOWN (crash)``.
+    A scan whose workers all die before they report ready raises
+    :class:`PoolBootFailure` (its one-line message names how many and
+    the last exit code) instead of returning every pair ``UNKNOWN
+    (crash)``.  Worker restarts show on a scan's status board as
+    ``worker_spawns`` minus ``jobs``.
     """
 
     def __init__(
@@ -1060,14 +1060,12 @@ class SupervisedScanner:
         self.retry = retry if retry is not None else RetryPolicy()
         self.drain_grace = drain_grace
         self.tracer = tracer if tracer is not None else NULL_SINK
-        self.worker_restarts = 0  # of the most recent scan
         self._pool: Optional[_ScanPool] = None
 
     # ------------------------------------------------------------------
     def start(self, exe, tasks: Sequence[PairTask],
               options: PairScanOptions) -> None:
         """Start a private pool and submit every pair of ``tasks``."""
-        self.worker_restarts = 0
         self._exe, self._tasks = exe, tasks
         self._events: "queue.SimpleQueue[Dict[str, Any]]" = queue.SimpleQueue()
         self._unanswered = 0
@@ -1125,7 +1123,6 @@ class SupervisedScanner:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close(drain=False)
-            self.worker_restarts = pool.stats()["restarts"]
             self._boot_failure = pool.boot_failure
 
     def _emit_spans(self, spans) -> None:

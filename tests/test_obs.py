@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro import faults
 from repro.budget import Budget
 from repro.cli import main as cli_main
 from repro.lang.ast import Assign, Const, ProcessDef, Program, SemP, SemV
@@ -29,16 +30,17 @@ from repro.obs import (
     RecordingSink,
     ScanProgress,
     SearchProfile,
+    StatusBoard,
     TraceError,
     TraceSummary,
     iter_trace,
     planner_metrics,
     read_trace,
-    scan_metrics,
     summarize_trace,
     validate_record,
 )
 from repro.obs.profile import ROOT_KEY
+from repro.obs.progress import progress_line
 from repro.races.detector import RaceDetector
 from repro.solve.planner import PlannerReport, QueryPlanner
 from repro.solve.context import SolveContext
@@ -311,20 +313,19 @@ class TestMetrics:
         with pytest.raises(ValueError, match="already registered"):
             reg.gauge("m")
 
-    def test_scan_metrics_from_report(self):
-        exe = masking_execution(2)
-        report = RaceDetector(exe).feasible_races()
-        reg = scan_metrics(
-            MetricsRegistry(), report, elapsed=1.25,
-            worker_restarts=2, checkpoint_writes=3,
-        )
-        text = reg.render()
+    def test_metrics_file_is_the_status_body_at_scan_end(self, tmp_path):
+        exe_path, out = tmp_path / "exe.json", tmp_path / "m.prom"
+        serialize.save(masking_execution(2), str(exe_path))
+        assert cli_main(["races", str(exe_path), "--metrics", str(out)]) == 0
+        text = out.read_text()
         assert 'repro_pairs_classified_total{status="feasible"} 2' in text
-        assert f"repro_planner_queries_total {report.planner.queries}" in text
-        assert "repro_worker_restarts_total 2" in text
-        assert "repro_checkpoint_writes_total 3" in text
-        assert "repro_scan_elapsed_seconds 1.25" in text
+        assert 'repro_pairs_classified_total{status="unknown"} 0' in text
+        assert "repro_planner_queries_total" in text
+        assert "repro_scan_pairs_done 2" in text
+        assert "repro_scan_eta_seconds 0" in text
         assert "repro_scan_interrupted 0" in text
+        assert "repro_checkpoint_writes_total 0" in text
+        assert "repro_worker_restarts_total" not in text
 
     def test_planner_metrics_alone(self):
         exe = masking_execution(2)
@@ -348,27 +349,53 @@ class _FakeStream:
         return False
 
 
-class TestScanProgress:
-    class _C:
-        def __init__(self, status):
-            self.status = status
+def _snapshot(total, statuses=(), budget=None):
+    """A status-board snapshot after ``statuses`` were classified."""
+    board = StatusBoard()
+    board.begin_scan(total=total, budget=budget)
+    for status in statuses:
+        board.pair_done(_C(status))
+    return board.latest()
 
+
+def _screen(chunks):
+    """What a terminal shows after ``chunks``: ``\r`` returns to column
+    0 and later characters overwrite earlier ones."""
+    lines, col = [[]], 0
+    for ch in "".join(chunks):
+        if ch == "\r":
+            col = 0
+        elif ch == "\n":
+            lines.append([])
+            col = 0
+        else:
+            line = lines[-1]
+            if col < len(line):
+                line[col] = ch
+            else:
+                line.append(ch)
+            col += 1
+    return ["".join(line).rstrip() for line in lines]
+
+
+class _C:
+    def __init__(self, status):
+        self.status = status
+
+
+class TestScanProgress:
     def test_line_counts_and_rate(self):
-        p = ScanProgress(10, stream=_FakeStream(), enabled=True,
-                         min_interval=0.0)
-        for status in ("feasible", "feasible", "infeasible", "unknown"):
-            p.update(self._C(status))
-        line = p.line()
+        line = progress_line(
+            _snapshot(10, ("feasible", "feasible", "infeasible", "unknown"))
+        )
         assert "scan 4/10" in line
         assert "feasible=2 infeasible=1 unknown=1" in line
         assert "pairs/s" in line and "eta" in line
 
     def test_eta_capped_by_budget(self):
         budget = Budget.of(timeout=0.0)  # already expired
-        p = ScanProgress(100, budget=budget, stream=_FakeStream(),
-                         enabled=True, min_interval=0.0)
-        p.update(self._C("feasible"))
-        assert "budget caps" in p.line()
+        line = progress_line(_snapshot(100, ("feasible",), budget))
+        assert "budget caps" in line
 
     def test_disabled_without_tty(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROGRESS", raising=False)
@@ -380,9 +407,31 @@ class TestScanProgress:
         stream = _FakeStream()
         p = ScanProgress(2, stream=stream, min_interval=0.0)
         assert p.enabled
-        p.update(self._C("feasible"))
+        p.update(_snapshot(2, ("feasible",)))
         p.finish()
         assert any("scan 1/2" in c for c in stream.chunks)
+
+    def test_nothing_left_to_classify_writes_nothing(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PROGRESS", "1")
+        stream = _FakeStream()
+        p = ScanProgress(0, stream=stream, min_interval=0.0)
+        p.update(_snapshot(2, ("feasible", "feasible")))
+        p.finish()
+        assert not p.enabled and stream.chunks == []
+
+    def test_shorter_line_leaves_no_residue(self):
+        stream = _FakeStream()
+        p = ScanProgress(100, stream=stream, enabled=True, min_interval=0.0)
+        capped = _snapshot(100, ("feasible",), Budget.of(timeout=0.0))
+        assert "budget caps" in progress_line(capped)
+        p.update(capped)
+        short = _snapshot(2, ("feasible",))
+        p.update(short)
+        assert _screen(stream.chunks) == [progress_line(short)]
+        done = _snapshot(2, ("feasible", "infeasible"))
+        p.update(done)
+        p.finish()
+        assert _screen(stream.chunks) == [progress_line(done), ""]
 
 
 # ----------------------------------------------------------------------
@@ -671,28 +720,21 @@ class TestAtomicWrites:
 
 # ----------------------------------------------------------------------
 class TestProgressEtaAndNewline:
-    class _C:
-        def __init__(self, status):
-            self.status = status
-
     def test_eta_from_rate_without_budget(self):
-        p = ScanProgress(10, stream=_FakeStream(), enabled=True,
-                         min_interval=0.0)
-        p.update(self._C("feasible"))
-        line = p.line()
+        line = progress_line(_snapshot(10, ("feasible",)))
         assert "eta " in line and "eta ?" not in line
 
     def test_eta_unknown_before_first_pair(self):
-        p = ScanProgress(10, stream=_FakeStream(), enabled=True,
-                         min_interval=0.0)
-        p.done = 0
-        assert "eta ?" in p.line(p._t0)  # zero elapsed, zero rate
+        assert "eta ?" in progress_line(_snapshot(10))  # no rate yet
+        budget = Budget.of(timeout=60.0)
+        assert "eta <=" in progress_line(_snapshot(10, budget=budget))
 
     def test_finish_always_terminates_the_line(self):
         stream = _FakeStream()
         p = ScanProgress(2, stream=stream, enabled=True, min_interval=0.0)
-        p.update(self._C("feasible"))
-        p.update(self._C("feasible"))  # renders immediately (done==total)
+        p.update(_snapshot(2, ("feasible",)))
+        # renders immediately (done == total)
+        p.update(_snapshot(2, ("feasible", "feasible")))
         p.finish()
         assert stream.chunks[-1] == "\n"
         assert "".join(stream.chunks).count("\n") == 1
@@ -702,6 +744,28 @@ class TestProgressEtaAndNewline:
         p = ScanProgress(5, stream=stream, enabled=True, min_interval=0.0)
         p.finish()
         assert stream.chunks == []
+
+
+def test_all_views_agree_on_a_resumed_scan(tmp_path, monkeypatch, capsys):
+    """The progress line and the --metrics file are views of one board,
+    so a resumed scan's line counts its journaled pairs exactly as
+    /status and the report do."""
+    exe_path, journal = tmp_path / "mask3.json", tmp_path / "j.jsonl"
+    serialize.save(masking_execution(3), str(exe_path))
+    scan = ["races", str(exe_path), "--checkpoint", str(journal)]
+    # append 1 is the journal header, 2 the first pair: the disk fails
+    # on the second pair's record, so one pair is journaled
+    assert cli_main(scan + ["--failpoints", "checkpoint.append=eio@nth=3"]) == 2
+    faults.disarm()
+    monkeypatch.setenv("REPRO_PROGRESS", "1")
+    capsys.readouterr()
+    prom = tmp_path / "m.prom"
+    assert cli_main(scan + ["--resume", "--metrics", str(prom)]) == 0
+    lines = [line for line in _screen([capsys.readouterr().err]) if line]
+    assert lines[-1].startswith("scan 3/3 "), lines
+    metrics = prom.read_text()
+    assert "repro_scan_pairs_done 3" in metrics
+    assert "repro_checkpoint_writes_total 2" in metrics
 
 
 # ----------------------------------------------------------------------

@@ -96,7 +96,8 @@ class TestStatusBoard:
 
     def test_pair_counts_and_eta(self):
         board = StatusBoard()
-        board.begin_scan(total=4, fingerprint="deadbeef")
+        board.fingerprint = "deadbeef"
+        board.begin_scan(total=4)
         board.pair_done(_C("feasible"))
         board.pair_done(_C("unknown"))
         snap = board.latest()
@@ -241,7 +242,8 @@ class TestObsServer:
     def test_endpoints_over_real_http(self):
         board = StatusBoard()
         with ObsServer(board, 0) as srv:
-            board.begin_scan(total=2, fingerprint="f00d")
+            board.fingerprint = "f00d"
+            board.begin_scan(total=2)
             board.pair_done(_C("feasible"))
             status, body = _get(srv.url("/healthz"))
             assert status == 200 and body == "ok\n"
@@ -382,6 +384,9 @@ GOLDEN_SCAN_METRICS = """\
 # HELP repro_scan_up 1 while the scan process serves
 # TYPE repro_scan_up gauge
 repro_scan_up 1
+# HELP repro_scan_interrupted 1 when the scan was cut short by Ctrl-C
+# TYPE repro_scan_interrupted gauge
+repro_scan_interrupted 0
 # HELP repro_scan_pairs_total Conflicting pairs in the scan
 # TYPE repro_scan_pairs_total gauge
 repro_scan_pairs_total 6
@@ -716,11 +721,9 @@ class TestServedLiveScan:
                 jobs=2,
                 retry=RetryPolicy(max_retries=0, backoff_base=0.01),
             )
-            board.begin_scan(total=len(pairs))
             report = RaceDetector(exe).feasible_races(
-                runner=scanner, on_classified=board.pair_done, board=board
+                runner=scanner, board=board
             )
-            board.set_state("done")
             _, body = _get(srv.url("/status"))
             final = json.loads(body)
             stop.set()
@@ -746,12 +749,9 @@ class TestServedLiveScan:
         board = StatusBoard()
         profile = SearchProfile()
         scanner = SupervisedScanner(jobs=2)
-        board.begin_scan(total=len(exe.conflicting_pairs()))
         RaceDetector(exe).feasible_races(
-            runner=scanner, on_classified=board.pair_done, profile=profile,
-            board=board,
+            runner=scanner, profile=profile, board=board
         )
-        board.set_state("done")
         assert board.latest()["profile"] == profile.snapshot()
 
 

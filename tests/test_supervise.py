@@ -27,6 +27,7 @@ from repro.lang.ast import Assign, Const, ProcessDef, Program, SemP, SemV, Share
 from repro.lang.interpreter import run_program
 from repro.lang.scheduler import FixedScheduler
 from repro.model import serialize
+from repro.obs import StatusBoard
 from repro.obs.trace import RecordingSink, read_trace
 from repro.races import detector as detector_mod
 from repro.races.detector import UNKNOWN, RaceDetector
@@ -281,12 +282,14 @@ def scan_crash_then_replacement_loop(iterations):
             jobs=1,
             retry=RetryPolicy(max_retries=1, backoff_base=0.01, jitter=0.5),
         )
+        board = StatusBoard()
         report = RaceDetector(exe, budget=Budget.of(timeout=60.0)).feasible_races(
-            runner=scanner
+            runner=scanner, board=board
         )
         got = by_pair(report)[pair]
         assert got.status == serial[pair].status, (i, got)
-        assert scanner.worker_restarts == 1, (i, scanner.worker_restarts)
+        restarts = board.latest()["worker_spawns"] - scanner.jobs
+        assert restarts == 1, (i, restarts)
 
 
 class TestSerialInterrupt:
@@ -416,8 +419,9 @@ class TestKillAndResume:
         """Ctrl-C while a serial scan appends a pair to its journal (the
         append defers the signal and re-raises it after the write): the
         scan still ends like any interrupted scan -- the partial report,
-        a trace closed by ``profile`` and an interrupted ``scan.end``,
-        exit 130 and a journal ``--resume`` accepts."""
+        a trace closed by ``profile`` and an interrupted ``scan.end``, a
+        ``--metrics`` file that counts what the report and the journal
+        hold, exit 130 and a journal ``--resume`` accepts."""
         if signal.getsignal(signal.SIGINT) == signal.SIG_IGN:
             pytest.skip("SIGINT is ignored in this environment")
         exe = masking_execution(3)
@@ -432,6 +436,7 @@ class TestKillAndResume:
                 sys.executable, "-m", "repro", "races", str(exe_path),
                 "--checkpoint", str(journal), "--trace", str(trace),
                 "--profile", str(tmp_path / "p.json"),
+                "--metrics", str(tmp_path / "m.prom"),
                 "--failpoints", "checkpoint.append=sleep:3@nth=3",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -453,6 +458,10 @@ class TestKillAndResume:
         assert records[-1]["interrupted"] is True
         assert records[-1]["done"] == 2
         assert pair_count(str(journal)) == 2
+        metrics = (tmp_path / "m.prom").read_text().splitlines()
+        assert "repro_scan_interrupted 1" in metrics
+        assert "repro_scan_pairs_done 2" in metrics
+        assert "repro_checkpoint_writes_total 2" in metrics
         assert cli_main([
             "races", str(exe_path), "--checkpoint", str(journal), "--resume",
         ]) == 0
