@@ -253,10 +253,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analyze_pair_budgeted(
+def _analyze_pair(
     q: OrderingQueries, args: argparse.Namespace, la: str, lb: str, a: int, b: int
 ) -> int:
-    """Budgeted pair query: three-valued output, never a traceback."""
+    """One pair's verdicts, with the CHB/CCW witness or the MHB
+    counterexample: three-valued output, never a traceback."""
     if args.relation == "all":
         verdicts = q.relation_verdicts(a, b)
     else:
@@ -268,10 +269,14 @@ def _analyze_pair_budgeted(
         if v.is_unknown:
             unknowns += 1
             print(f"  {name}({la}, {lb}) = UNKNOWN (exhausted {v.resource or 'budget'})")
-        else:
-            print(f"  {name}({la}, {lb}) = {v.truth}  [{v.provenance}]")
-            if v.witness is not None and args.relation in ("chb", "ccw"):
-                print(v.witness.pretty())
+            continue
+        print(f"  {name}({la}, {lb}) = {v.truth}  [{v.provenance}]")
+        # a decided CHB/CCW carries its schedule when TRUE, a refuted
+        # MHB its counterexample
+        if v.witness is not None and args.relation in ("chb", "ccw", "mhb"):
+            if args.relation == "mhb":
+                print("  counterexample schedule:")
+            print(v.witness.pretty())
     if unknowns:
         print(
             f"{unknowns} quer{'y' if unknowns == 1 else 'ies'} undecided under "
@@ -305,70 +310,46 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             exe, include_dependences=not args.ignore_deps, budget=budget,
             plan=plan, por=args.por,
         )
-        observed = (
-            args.trace or args.metrics or args.profile
-            or args.serve is not None
-        )
-        if budget is not None or plan is not None or observed:
-            # a custom ladder (or observability, which instruments the
-            # planner) only makes sense through the portfolio's
-            # three-valued verdict path
-            profile = SearchProfile() if args.profile else None
-            board = server = None
-            if args.serve is not None:
-                board = StatusBoard()
-                server = _start_server(board, args.serve)
-                if server is None:
-                    return EXIT_USAGE
-                board.fingerprint = args.execution
-                board.begin_scan(total=0, budget=budget)
-                board.planner, board.profile = q.planner.report, profile
-                q.planner.attach_board(board)
-            sink = JsonlTraceSink(args.trace) if args.trace else None
-            try:
-                if sink is not None:
-                    q.planner.attach_tracer(sink)
-                if profile is not None:
-                    q.planner.attach_profiler(profile)
-                status = _analyze_pair_budgeted(q, args, la, lb, a, b)
-            finally:
-                if sink is not None:
-                    sink.close()
-                if server is not None:
-                    board.set_state("done")
-                    server.close()
+        profile = SearchProfile() if args.profile else None
+        board = server = None
+        if args.serve is not None:
+            board = StatusBoard()
+            server = _start_server(board, args.serve)
+            if server is None:
+                return EXIT_USAGE
+            board.fingerprint = args.execution
+            board.begin_scan(total=0, budget=budget)
+            board.planner, board.profile = q.planner.report, profile
+            q.planner.attach_board(board)
+        sink = JsonlTraceSink(args.trace) if args.trace else None
+        try:
+            if sink is not None:
+                q.planner.attach_tracer(sink)
             if profile is not None:
-                _save_profile(profile, args.profile)
-            if args.metrics:
-                registry = MetricsRegistry()
-                planner_metrics(registry, q.planner.report)
-                registry.write(args.metrics)
-            return status
-        if args.relation == "all":
-            for name, value in q.relation_values(a, b).items():
-                print(f"  {name}({la}, {lb}) = {value}")
-        else:
-            fn = getattr(q, args.relation)
-            value = fn(a, b)
-            print(f"  {args.relation.upper()}({la}, {lb}) = {value}")
-            witness = None
-            if args.relation == "chb":
-                witness = q.chb_witness(a, b)
-            elif args.relation == "ccw":
-                witness = q.ccw_witness(a, b)
-            elif args.relation == "mhb" and not value:
-                witness = q.why_not_mhb(a, b)
-                if witness is not None:
-                    print("  counterexample schedule:")
-            if witness is not None:
-                print(witness.pretty())
-        return 0
+                q.planner.attach_profiler(profile)
+            status = _analyze_pair(q, args, la, lb, a, b)
+        finally:
+            if sink is not None:
+                sink.close()
+            if server is not None:
+                board.set_state("done")
+                server.close()
+        if profile is not None:
+            _save_profile(profile, args.profile)
+        if args.metrics:
+            registry = MetricsRegistry()
+            planner_metrics(registry, q.planner.report)
+            registry.write(args.metrics)
+        return status
     analyzer = OrderingAnalyzer(
         exe, include_dependences=not args.ignore_deps, budget=budget,
         por=args.por,
     )
+    # every count first: a budget blown mid-summary exits 3 (via main)
+    # without a header already printed over nothing
+    summary = analyzer.summary()
     print("pair counts per relation:")
-    for name, count in analyzer.summary().items():
+    for name, count in summary.items():
         print(f"  {name:>4}: {count}")
     if args.matrix:
         name = RelationName[args.matrix.upper()]
@@ -778,8 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget in seconds shared by all searches")
     p.add_argument("--backends", metavar="NAMES",
                    help="comma-separated solver-portfolio tier ladder for "
-                   "--pair queries, e.g. 'structural,observed,engine' "
-                   "(implies the three-valued verdict path)")
+                   "--pair queries, e.g. 'structural,observed,engine'")
     p.add_argument("--por", choices=("sleep", "hoist", "off"),
                    default="sleep",
                    help="exact-engine partial-order reduction: 'sleep' "

@@ -162,11 +162,15 @@ def end_point(eid: int) -> Point:
 class SearchBudgetExceeded(RuntimeError):
     """The search exhausted its budget (states or wall-clock deadline).
 
-    ``resource`` names what ran out: ``"states"`` or ``"deadline"``.
-    Callers must treat this as "unknown", never as a boolean answer.
+    ``resource`` names what ran out: ``"states"`` or ``"deadline"``
+    (``None`` when nothing ran out but the solver plan has no tier that
+    decides the query).  Callers must treat this as "unknown", never as
+    a boolean answer.
     """
 
-    def __init__(self, message: str = "search budget exceeded", *, resource: str = STATES):
+    def __init__(
+        self, message: str = "search budget exceeded", *, resource: Optional[str] = STATES
+    ):
         super().__init__(message)
         self.resource = resource
 

@@ -1,13 +1,10 @@
 """The six ordering relations of Table 1 as pairwise queries.
 
 =================  ==============================================  =======================
-relation           definition (over feasible executions ``F``)     decision procedure
+relation           definition (over feasible executions ``F``)     planner reading
 =================  ==============================================  =======================
-``a CHB b``        exists P' in F with ``a ->T' b``                serial search, gate
-                                                                   ``end(a) < begin(b)``
-``a CCW b``        exists P' in F with ``a || b``                  interval search on
-                                                                   ``{a, b}`` with mutual
-                                                                   overlap gates
+``a CHB b``        exists P' in F with ``a ->T' b``                primitive CHB query
+``a CCW b``        exists P' in F with ``a || b``                  primitive CCW query
 ``a COW b``        exists P' in F with ``not (a || b)``            ``CHB(a,b) or CHB(b,a)``
 ``a MHB b``        for all P' in F, ``a ->T' b``                   ``not CHB(b,a) and
                                                                    not CCW(a,b)``
@@ -20,6 +17,12 @@ definitions because ``not (a ->T b)`` decomposes into ``b ->T a`` or
 ``a || b`` (Section 2's footnote notation); they are property-tested
 against brute-force enumeration in ``tests/test_core_enumeration.py``.
 
+Every relation is decided by one
+:class:`~repro.solve.planner.QueryPlanner`: its cheapest-first ladder
+answers the primitives and its Kleene facades apply the identities.
+The boolean methods here are the truth of the decided verdict, and the
+witness helpers return that verdict's witness.
+
 Empty-``F`` semantics: if the execution cannot complete at all (a
 hand-built deadlocking event set), universally quantified relations
 hold vacuously and existentials are false.  Real traces always have
@@ -31,41 +34,57 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.budget import Budget, Verdict
-from repro.core.engine import SearchStats, begin_point, end_point
+from repro.core.engine import SearchBudgetExceeded, SearchStats
 from repro.core.witness import Witness
 from repro.model.execution import ProgramExecution
-from repro.solve.context import EMPTY_DROP, SolveContext
+from repro.solve.context import SolveContext
 from repro.solve.planner import QueryPlanner
+
+
+def _decided(verdict: Verdict) -> Verdict:
+    """``verdict`` itself, or the budget error when the ladder conceded."""
+    if verdict.is_unknown:
+        if verdict.resource is None:
+            # nothing ran out: the plan lacks a tier that decides it
+            raise SearchBudgetExceeded(
+                "no tier of the plan decides this query (add 'engine')",
+                resource=None,
+            )
+        raise SearchBudgetExceeded(resource=verdict.resource)
+    return verdict
+
+
+def _witness(verdict: Verdict) -> Optional[Witness]:
+    """The schedule exhibiting a decided TRUE, else None."""
+    verdict = _decided(verdict)
+    return verdict.witness if verdict.is_true else None
 
 
 class OrderingQueries:
     """Pairwise exact ordering queries over one execution.
 
-    Results of the two primitive existential searches (CHB and CCW) are
-    cached per pair; the other four relations are derived algebraically
-    so each pair costs at most three searches.
+    A thin view of one :class:`~repro.solve.planner.QueryPlanner`
+    (``plan=None`` runs the default ladder: structural reachability,
+    the observed schedule, cached witnesses, HMW, the exact engine).
+    The planner memoizes every definite verdict, so each primitive is
+    decided at most once per object.
 
-    Parameters mirror :class:`~repro.core.engine.FeasibilityEngine`;
-    ``max_states`` bounds every individual search (raising
-    :class:`~repro.core.engine.SearchBudgetExceeded` when exhausted),
-    and ``budget`` adds wall-clock/memo limits shared by every search
-    this object runs.
+    ``max_states`` bounds every individual engine search and ``budget``
+    adds wall-clock/memo limits shared by every search this object
+    runs; both are read per call.  The parameters mirror
+    :class:`~repro.core.engine.FeasibilityEngine`.
 
-    Two API flavors coexist:
+    Two API flavors read the same verdicts:
 
-    * the boolean methods (``mhb``/``chb``/...) are exact and *raise*
-      on budget exhaustion -- nothing wrong is ever cached, so retrying
-      with a larger budget on the same object works;
-    * the ``*_verdict`` methods never raise: they delegate to a
-      :class:`~repro.solve.planner.QueryPlanner` running the solver
-      portfolio's cheapest-first ladder (structural reachability, the
-      observed schedule, cached witnesses, HMW, the exact engine),
-      returning a three-valued :class:`~repro.budget.Verdict` before
-      conceding ``UNKNOWN``.
-
-    Both flavors share one :class:`~repro.solve.context.SolveContext`,
-    so witnesses found by the boolean searches seed the planner's cache
-    and vice versa.
+    * the ``*_verdict`` methods never raise: they return the ladder's
+      three-valued :class:`~repro.budget.Verdict`, ``UNKNOWN`` when
+      every tier declined under the budget;
+    * the boolean methods (``mhb``/``chb``/...) return the decided
+      verdict's truth and raise
+      :class:`~repro.core.engine.SearchBudgetExceeded` (naming the
+      spent resource) only when that verdict is ``UNKNOWN`` -- which
+      is never memoized, so retrying with a larger budget on the same
+      object works.
     """
 
     def __init__(
@@ -80,7 +99,6 @@ class OrderingQueries:
         por: str = "sleep",
     ) -> None:
         self.exe = exe
-        self.plan = tuple(plan) if plan is not None else None
         self.stats = SearchStats()
         self.ctx = SolveContext(
             exe,
@@ -89,27 +107,15 @@ class OrderingQueries:
             stats=self.stats,
             por=por,
         )
-        self.engine = self.ctx.engine_for(EMPTY_DROP)
+        self.planner = QueryPlanner(self.ctx, plan)
         self.max_states = max_states
         self.budget = budget
-        self._chb_cache: Dict[Tuple[int, int], Optional[Witness]] = {}
-        self._ccw_cache: Dict[Tuple[int, int], Optional[Witness]] = {}
-        self._base: Optional[Witness] = None
-        self._base_computed = False
-        self._planner: Optional[QueryPlanner] = None
+
+    @property
+    def _limits(self) -> Dict[str, object]:
+        return {"budget": self.budget, "max_states": self.max_states}
 
     # ------------------------------------------------------------------
-    @property
-    def planner(self) -> QueryPlanner:
-        """The tiered planner behind the ``*_verdict`` methods (lazy:
-        the boolean exact paths never pay for it)."""
-        if self._planner is None:
-            if self.plan is not None:
-                self._planner = QueryPlanner(self.ctx, self.plan)
-            else:
-                self._planner = QueryPlanner(self.ctx)
-        return self._planner
-
     def statically_ordered(self, a: int, b: int) -> bool:
         """``a`` completes before ``b`` by structure alone (program
         order, fork/join, dependences) in *every* schedule.
@@ -127,121 +133,58 @@ class OrderingQueries:
         return self.ctx.statically_interval_ordered(a, b)
 
     # ------------------------------------------------------------------
+    # witnesses of decided verdicts
+    # ------------------------------------------------------------------
     def feasible_witness(self) -> Optional[Witness]:
         """Any member of ``F``, or None when the event set cannot complete."""
-        if not self._base_computed:
-            pts = self.engine.search(
-                max_states=self.max_states, budget=self.budget, stats=self.stats
-            )
-            self._base = Witness(self.exe, pts) if pts is not None else None
-            self._base_computed = True
-            self.ctx.feasible = self._base is not None
-            self.ctx.feasible_provenance = "exact"
-            if pts is not None:
-                self.ctx.witnesses.add(pts)
-        return self._base
+        return _witness(self.planner.feasible_verdict(**self._limits))
 
     def has_feasible_execution(self) -> bool:
-        return self.feasible_witness() is not None
+        return _decided(self.planner.feasible_verdict(**self._limits)).is_true
 
-    # ------------------------------------------------------------------
-    # primitive existentials (with witnesses)
-    # ------------------------------------------------------------------
     def chb_witness(self, a: int, b: int) -> Optional[Witness]:
         """A feasible schedule in which ``a`` completes before ``b``
         begins, or None if no such schedule exists."""
-        if a == b:
-            return None
-        key = (a, b)
-        if key in self._chb_cache:
-            return self._chb_cache[key]
-        result: Optional[Witness] = None
-        if self.has_feasible_execution():
-            if self.statically_ordered(b, a):
-                result = None  # b always precedes a; a ->T b impossible
-            elif self.statically_ordered(a, b):
-                result = self.feasible_witness()  # every schedule qualifies
-            else:
-                pts = self.engine.search(
-                    constraints=[(end_point(a), begin_point(b))],
-                    max_states=self.max_states,
-                    budget=self.budget,
-                    stats=self.stats,
-                )
-                result = Witness(self.exe, pts) if pts is not None else None
-                if pts is not None:
-                    self.ctx.witnesses.add(pts)
-        self._chb_cache[key] = result
-        return result
+        return _witness(self.chb_verdict(a, b))
 
     def ccw_witness(self, a: int, b: int) -> Optional[Witness]:
         """A feasible schedule in which ``a`` and ``b`` overlap."""
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        if key in self._ccw_cache:
-            return self._ccw_cache[key]
-        result: Optional[Witness] = None
-        if self.has_feasible_execution():
-            if a == b:
-                result = self.feasible_witness()  # an event overlaps itself
-            elif self.statically_interval_ordered(a, b) or self.statically_interval_ordered(b, a):
-                result = None  # structurally serialized; overlap impossible
-            else:
-                pts = self.engine.search(
-                    interval_events=(a, b),
-                    constraints=[
-                        (begin_point(a), end_point(b)),
-                        (begin_point(b), end_point(a)),
-                    ],
-                    max_states=self.max_states,
-                    budget=self.budget,
-                    stats=self.stats,
-                )
-                result = Witness(self.exe, pts) if pts is not None else None
-                if pts is not None:
-                    self.ctx.witnesses.add(pts)
-        self._ccw_cache[key] = result
-        return result
+        return _witness(self.ccw_verdict(a, b))
+
+    def why_not_mhb(self, a: int, b: int) -> Optional[Witness]:
+        """A counterexample schedule when ``a MHB b`` fails: either ``b``
+        precedes ``a`` or they overlap.  None when ``a MHB b`` holds."""
+        return _witness(self.mhb_verdict(a, b).negate())
 
     # ------------------------------------------------------------------
-    # the six relations
+    # the six relations, and the completion-order pair
     # ------------------------------------------------------------------
     def chb(self, a: int, b: int) -> bool:
         """Could-have-happened-before."""
-        return self.chb_witness(a, b) is not None
+        return _decided(self.chb_verdict(a, b)).is_true
 
     def ccw(self, a: int, b: int) -> bool:
-        """Could-have-been-concurrent-with."""
-        return self.ccw_witness(a, b) is not None
+        """Could-have-been-concurrent-with (an event overlaps itself)."""
+        return _decided(self.ccw_verdict(a, b)).is_true
 
     def cow(self, a: int, b: int) -> bool:
         """Could-have-been-ordered-with (some feasible execution ran
         them one after the other, in either order)."""
-        if a == b:
-            return False  # an event always overlaps itself
-        return self.chb(a, b) or self.chb(b, a)
+        return _decided(self.cow_verdict(a, b)).is_true
 
     def mhb(self, a: int, b: int) -> bool:
         """Must-have-happened-before: ``a ->T b`` in every feasible
-        execution."""
-        if a == b:
-            return not self.has_feasible_execution()  # vacuous truth only
-        return not self.chb(b, a) and not self.ccw(a, b)
+        execution (for ``a == b`` only vacuously, when ``F`` is empty)."""
+        return _decided(self.mhb_verdict(a, b)).is_true
 
     def mcw(self, a: int, b: int) -> bool:
         """Must-have-been-concurrent-with."""
-        if a == b:
-            return True  # a || a holds in every execution (vacuously if F empty)
-        return not self.cow(a, b)
+        return _decided(self.mcw_verdict(a, b)).is_true
 
     def mow(self, a: int, b: int) -> bool:
         """Must-have-been-ordered-with (never concurrent)."""
-        return not self.ccw(a, b)
+        return _decided(self.mow_verdict(a, b)).is_true
 
-    # ------------------------------------------------------------------
-    # auxiliary completion-order relations
-    # ------------------------------------------------------------------
     # The paper's T orders *intervals*: ``a ->T b`` iff a completes
     # before b begins, so a blocked P overlaps the V that unblocks it
     # (the P has begun -- its first action, inspecting the count, has
@@ -255,23 +198,7 @@ class OrderingQueries:
     def ccb(self, a: int, b: int) -> bool:
         """Could-complete-before: some feasible execution completes
         ``a`` before ``b``."""
-        if a == b:
-            return False
-        if not self.has_feasible_execution():
-            return False
-        if self.statically_ordered(a, b):
-            return True
-        if self.statically_ordered(b, a):
-            return False
-        pts = self.engine.search(
-            constraints=[(end_point(a), end_point(b))],
-            max_states=self.max_states,
-            budget=self.budget,
-            stats=self.stats,
-        )
-        if pts is not None:
-            self.ctx.witnesses.add(pts)
-        return pts is not None
+        return _decided(self.ccb_verdict(a, b)).is_true
 
     def mcb(self, a: int, b: int) -> bool:
         """Must-complete-before: ``a`` completes before ``b`` in every
@@ -279,95 +206,45 @@ class OrderingQueries:
         schedule, so ``mcb(a, b) == not ccb(b, a)`` (vacuously true
         when no feasible execution exists).  Note ``mhb`` implies
         ``mcb`` but not conversely."""
-        if a == b:
-            return not self.has_feasible_execution()
-        return not self.ccb(b, a)
-
-    # ------------------------------------------------------------------
-    # explanation helpers
-    # ------------------------------------------------------------------
-    def why_not_mhb(self, a: int, b: int) -> Optional[Witness]:
-        """A counterexample schedule when ``a MHB b`` fails: either ``b``
-        precedes ``a`` or they overlap.  None when ``a MHB b`` holds."""
-        w = self.chb_witness(b, a)
-        if w is not None:
-            return w
-        return self.ccw_witness(a, b)
+        return _decided(self.mcb_verdict(a, b)).is_true
 
     def relation_values(self, a: int, b: int) -> Dict[str, bool]:
         """All six relation values for one pair (used by examples)."""
         return {
-            "MHB": self.mhb(a, b),
-            "CHB": self.chb(a, b),
-            "MCW": self.mcw(a, b),
-            "CCW": self.ccw(a, b),
-            "MOW": self.mow(a, b),
-            "COW": self.cow(a, b),
+            name: _decided(v).is_true
+            for name, v in self.relation_verdicts(a, b).items()
         }
 
     # ------------------------------------------------------------------
-    # three-valued (budget-tolerant) verdicts
+    # three-valued verdicts (never raise)
     # ------------------------------------------------------------------
-    # These delegate to the shared QueryPlanner: the portfolio ladder
-    # tries structural reachability, the observed schedule, cached
-    # witnesses and HMW before paying for an exact search, degrading to
-    # UNKNOWN -- never a guess -- when the budget runs dry.  The budget
-    # is read per call (``q.budget = None`` retries honestly: UNKNOWNs
-    # are never memoized).
-
     def chb_verdict(self, a: int, b: int) -> Verdict:
-        """Three-valued :meth:`chb` -- never raises."""
-        return self.planner.chb_verdict(
-            a, b, budget=self.budget, max_states=self.max_states
-        )
+        return self.planner.chb_verdict(a, b, **self._limits)
 
     def ccw_verdict(self, a: int, b: int) -> Verdict:
-        """Three-valued :meth:`ccw` -- never raises."""
-        return self.planner.ccw_verdict(
-            a, b, budget=self.budget, max_states=self.max_states
-        )
+        return self.planner.ccw_verdict(a, b, **self._limits)
 
     def ccb_verdict(self, a: int, b: int) -> Verdict:
-        """Three-valued :meth:`ccb` -- never raises."""
-        return self.planner.ccb_verdict(
-            a, b, budget=self.budget, max_states=self.max_states
-        )
+        return self.planner.ccb_verdict(a, b, **self._limits)
 
     def cow_verdict(self, a: int, b: int) -> Verdict:
-        return self.planner.cow_verdict(
-            a, b, budget=self.budget, max_states=self.max_states
-        )
+        return self.planner.cow_verdict(a, b, **self._limits)
 
     def mhb_verdict(self, a: int, b: int) -> Verdict:
-        """Three-valued :meth:`mhb` -- never raises.
-
-        Kleene conjunction of ``not chb(b, a)`` and ``not ccw(a, b)``:
-        either conjunct failing refutes MHB even when the other blew
-        its budget.
-        """
-        return self.planner.mhb_verdict(
-            a, b, budget=self.budget, max_states=self.max_states
-        )
+        """Kleene conjunction of ``not chb(b, a)`` and ``not ccw(a, b)``:
+        either conjunct failing refutes MHB (with its schedule as the
+        witness) even when the other blew its budget."""
+        return self.planner.mhb_verdict(a, b, **self._limits)
 
     def mow_verdict(self, a: int, b: int) -> Verdict:
-        return self.planner.mow_verdict(
-            a, b, budget=self.budget, max_states=self.max_states
-        )
+        return self.planner.mow_verdict(a, b, **self._limits)
 
     def mcw_verdict(self, a: int, b: int) -> Verdict:
-        return self.planner.mcw_verdict(
-            a, b, budget=self.budget, max_states=self.max_states
-        )
+        return self.planner.mcw_verdict(a, b, **self._limits)
 
     def mcb_verdict(self, a: int, b: int) -> Verdict:
-        """Three-valued :meth:`mcb` -- never raises."""
-        return self.planner.mcb_verdict(
-            a, b, budget=self.budget, max_states=self.max_states
-        )
+        return self.planner.mcb_verdict(a, b, **self._limits)
 
     def relation_verdicts(self, a: int, b: int) -> Dict[str, Verdict]:
-        """All six relations as verdicts (budget-tolerant counterpart
-        of :meth:`relation_values`)."""
-        return self.planner.relation_verdicts(
-            a, b, budget=self.budget, max_states=self.max_states
-        )
+        """All six relations as verdicts."""
+        return self.planner.relation_verdicts(a, b, **self._limits)

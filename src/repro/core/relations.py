@@ -2,8 +2,9 @@
 
 Computes any of Table 1's six relations as a
 :class:`~repro.util.relations.BinaryRelation` over the full event set,
-reusing one :class:`~repro.core.queries.OrderingQueries` cache so that
-the ``O(|E|^2)`` pair queries share their underlying searches.
+reusing one :class:`~repro.core.queries.OrderingQueries` (one planner,
+with its verdict memo and witness cache) so that the ``O(|E|^2)`` pair
+queries share their underlying searches.
 """
 
 from __future__ import annotations

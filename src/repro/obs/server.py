@@ -294,8 +294,8 @@ def _profile_states(doc: Dict[str, Any]) -> Optional[int]:
 #: :func:`~repro.obs.metrics.render_status`), and so of its
 #: ``--metrics`` file
 SCAN_METRICS: Tuple[StatusMetric, ...] = (
-    ("gauge", "repro_scan_up", "1 while the scan process serves",
-     lambda doc: 1, None),
+    ("gauge", "repro_scan_up", "1 until the scan ends, 0 once done or interrupted",
+     lambda doc: int(doc.get("state") not in ("done", "interrupted")), None),
     ("gauge", "repro_scan_interrupted", "1 when the scan was cut short by Ctrl-C",
      lambda doc: int(doc["state"] == "interrupted") if doc else None, None),
     ("gauge", "repro_scan_pairs_total", "Conflicting pairs in the scan",

@@ -323,11 +323,9 @@ class RaceDetector:
         """The scan-shared planner (lazy: apparent-only runs never pay
         for the solve context)."""
         if self._planner is None:
-            ctx = SolveContext(self.exe, por=self.por)
-            if self.plan is not None:
-                self._planner = QueryPlanner(ctx, self.plan)
-            else:
-                self._planner = QueryPlanner(ctx)
+            self._planner = QueryPlanner(
+                SolveContext(self.exe, por=self.por), self.plan
+            )
         return self._planner
 
     # ------------------------------------------------------------------

@@ -11,6 +11,12 @@ from repro.model.execution import ProgramExecution, SyncStyle
 from repro.sat.cnf import CNF
 
 
+#: the ladder for a reduction's queries: the marker queries are the
+#: NP-hard ones of Theorems 1-4, which HMW's polynomial counting phases
+#: never decide, so the plan skips building them
+MARKER_PLAN = ("structural", "observed", "witness", "engine")
+
+
 @dataclass
 class SatReduction:
     """A constructed execution with its marker events and provenance.
@@ -49,6 +55,7 @@ class SatReduction:
             binary_semaphores=binary_semaphores,
             max_states=max_states,
             budget=budget,
+            plan=MARKER_PLAN,
         )
 
     def size_summary(self) -> Dict[str, int]:

@@ -3,10 +3,11 @@
 :class:`QueryPlanner` answers the primitive queries of
 :mod:`repro.solve.query` by consulting its plan's backends cheapest
 first, under the caller's per-call :class:`~repro.budget.Budget`.  On
-top of the primitives it exposes the same three-valued relation
-facades as ``OrderingQueries`` (``chb_verdict`` ... ``mcb_verdict``,
-via the Table 1 dualities), so the query layer, the best-effort
-analyzer and the race detector all route through one place.
+top of the primitives it exposes the three-valued relation facades
+(``chb_verdict`` ... ``mcb_verdict``, via the Table 1 dualities) that
+``OrderingQueries`` reads its booleans and witnesses off, so the query
+layer, the best-effort analyzer and the race detector all route
+through one place.
 
 Invariants the planner maintains:
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.budget import Budget, Verdict
 from repro.solve.backends import DEFAULT_PLAN, resolve_plan
@@ -47,6 +48,18 @@ from repro.solve.query import CCB, CCW, CHB, FEASIBLE, RelationQuery
 def tier_of(provenance: str) -> str:
     """Map a verdict's provenance tag back to its ladder tier name."""
     return "engine" if provenance == "exact" else provenance
+
+
+def _costlier(first: Verdict, second: Verdict) -> str:
+    """The provenance of whichever verdict the ladder settled later: a
+    conjunction of two decided queries is only as cheap as its costlier
+    half (``trivial`` ranks below every tier)."""
+
+    def rank(v: Verdict) -> int:
+        tier = tier_of(v.provenance)
+        return DEFAULT_PLAN.index(tier) if tier in DEFAULT_PLAN else -1
+
+    return max(first, second, key=rank).provenance
 
 
 @dataclass
@@ -173,17 +186,18 @@ class PlannerReport:
 
 
 class QueryPlanner:
-    """Cheapest-first escalation over a plan of registered backends."""
+    """Cheapest-first escalation over a plan of registered backends
+    (``plan=None`` means :data:`~repro.solve.backends.DEFAULT_PLAN`)."""
 
     def __init__(
         self,
         ctx: SolveContext,
-        plan: Tuple[str, ...] = DEFAULT_PLAN,
+        plan: Optional[Sequence[str]] = None,
         *,
         tracer=None,
     ) -> None:
         self.ctx = ctx
-        self.plan = tuple(plan)
+        self.plan = DEFAULT_PLAN if plan is None else tuple(plan)
         self.backends = resolve_plan(self.plan)
         self.report = PlannerReport()
         self.tracer = tracer  # duck-typed TraceSink (enabled + emit)
@@ -359,8 +373,8 @@ class QueryPlanner:
             self._resolving_feasibility = False
 
     # ------------------------------------------------------------------
-    # relation facades (the Table 1 dualities, in Kleene logic --
-    # mirroring the historical OrderingQueries verdict algebra)
+    # relation facades (the Table 1 dualities, in Kleene logic); a
+    # refuted universal carries the counterexample schedule as witness
     # ------------------------------------------------------------------
     def feasible_verdict(
         self,
@@ -396,7 +410,8 @@ class QueryPlanner:
                 fv.truth, fv.provenance, witness=fv.witness, stats=self.ctx.stats
             )
         drop = kw.pop("drop", EMPTY_DROP)
-        return self.answer(RelationQuery(CCW, a, b, drop), **kw)
+        # CCW is symmetric: one memo entry (and one search) per pair
+        return self.answer(RelationQuery(CCW, min(a, b), max(a, b), drop), **kw)
 
     def cow_verdict(self, a: int, b: int, **kw) -> Verdict:
         if a == b:
@@ -408,7 +423,7 @@ class QueryPlanner:
         if second.is_true:
             return second
         if first.is_false and second.is_false:
-            return Verdict.false(first.provenance, stats=self.ctx.stats)
+            return Verdict.false(_costlier(first, second), stats=self.ctx.stats)
         resource = first.resource or second.resource
         return Verdict.unknown(resource=resource, stats=self.ctx.stats)
 
@@ -417,7 +432,10 @@ class QueryPlanner:
             fv = self.feasible_verdict(**kw)
             if fv.is_unknown:
                 return Verdict.unknown(resource=fv.resource, stats=self.ctx.stats)
-            return Verdict.of_bool(fv.is_false, "trivial", stats=self.ctx.stats)
+            # refuted by any member of F, which overlaps a with itself
+            return Verdict.of_bool(
+                fv.is_false, "trivial", witness=fv.witness, stats=self.ctx.stats
+            )
         rev = self.chb_verdict(b, a, **kw)
         if rev.is_true:
             return Verdict.false(rev.provenance, witness=rev.witness, stats=self.ctx.stats)
@@ -427,11 +445,7 @@ class QueryPlanner:
                 overlap.provenance, witness=overlap.witness, stats=self.ctx.stats
             )
         if rev.is_false and overlap.is_false:
-            provenance = (
-                "exact" if rev.provenance == overlap.provenance == "exact"
-                else "structural"
-            )
-            return Verdict.true(provenance, stats=self.ctx.stats)
+            return Verdict.true(_costlier(rev, overlap), stats=self.ctx.stats)
         resource = rev.resource or overlap.resource
         return Verdict.unknown(resource=resource, stats=self.ctx.stats)
 

@@ -225,9 +225,7 @@ def _query_worker_main(task_q, conn, lifeline, conf) -> None:
                 if isinstance(exe_doc, str):
                     exe_doc = json.loads(exe_doc)
                 ctx = SolveContext(serialize.execution_from_dict(exe_doc), por=por)
-                planner = (
-                    QueryPlanner(ctx, tuple(plan)) if plan else QueryPlanner(ctx)
-                )
+                planner = QueryPlanner(ctx, plan)
                 if sink is not None:
                     planner.attach_tracer(sink)
                 planner.attach_profiler(profile)

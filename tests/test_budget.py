@@ -128,13 +128,39 @@ class TestEngineBudgets:
         budget = Budget(
             deadline=time.monotonic() + 0.005, check_interval=1
         )
-        q = OrderingQueries(red.execution, budget=budget)
         with pytest.raises(SearchBudgetExceeded) as exc:
             while True:  # burn until the 5ms deadline lapses
-                q._chb_cache.clear()
+                # a fresh object each round: a decided verdict is
+                # memoized, so only a new one searches again
+                q = OrderingQueries(red.execution, budget=budget)
                 q.chb(red.b, red.a)
         assert exc.value.resource == DEADLINE
         assert q.stats.termination == TERMINATED_DEADLINE
+
+    @pytest.mark.parametrize(
+        "budget, resource",
+        [(Budget(max_states=1), STATES), (Budget.of(timeout=0.0), DEADLINE)],
+    )
+    def test_witness_helpers_raise_when_the_ladder_concedes(self, budget, resource):
+        # None would claim "no such schedule" (or "MHB holds"); under a
+        # blown budget that is a guess, so each helper must raise
+        red, q = self._queries(budget)
+        for call in (
+            q.feasible_witness,
+            lambda: q.chb_witness(red.b, red.a),
+            lambda: q.ccw_witness(red.a, red.b),
+            lambda: q.why_not_mhb(red.a, red.b),
+        ):
+            with pytest.raises(SearchBudgetExceeded) as exc:
+                call()
+            assert exc.value.resource == resource
+
+    def test_plan_without_engine_names_no_spent_resource(self):
+        red = semaphore_reduction(UNSAT_FORMULA)
+        q = OrderingQueries(red.execution, plan=("structural",))
+        with pytest.raises(SearchBudgetExceeded, match="no tier of the plan") as exc:
+            q.mhb(red.a, red.b)
+        assert exc.value.resource is None
 
     def test_memo_cap_degrades_but_stays_exact(self):
         red = semaphore_reduction(UNSAT_FORMULA)

@@ -75,7 +75,9 @@ class TestAnalyze:
         rc = main(["analyze", execution_file, "--pair", "post_left", "post_right",
                    "--relation", "mhb"])
         assert rc == 0
-        assert "MHB(post_left, post_right) = True" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "MHB(post_left, post_right) = TRUE  [" in out
+        assert "counterexample" not in out
 
     def test_pair_all_relations(self, execution_file, capsys):
         main(["analyze", execution_file, "--pair", "post_left", "w3"])
@@ -85,7 +87,10 @@ class TestAnalyze:
     def test_ignore_deps_changes_answer(self, execution_file, capsys):
         main(["analyze", execution_file, "--pair", "post_left", "post_right",
               "--relation", "mhb", "--ignore-deps"])
-        assert "= False" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "MHB(post_left, post_right) = FALSE  [" in out
+        # the refuted MHB comes with the schedule that refutes it
+        assert "counterexample schedule:" in out
 
     def test_witness_printed_for_ccw(self, execution_file, capsys):
         main(["analyze", execution_file, "--pair", "post_left", "w3",
@@ -197,6 +202,16 @@ class TestBudgetedCli:
         err = capsys.readouterr().err
         assert "search budget exceeded" in err
         assert "Traceback" not in err
+
+    def test_analyze_summary_budget_blown_prints_no_header(
+        self, execution_file, capsys
+    ):
+        # every count is computed before the table header, so a budget
+        # blown mid-summary leaves no header dangling over nothing
+        assert main(["analyze", execution_file, "--max-states", "1"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("loaded: ")
+        assert "pair counts per relation:" not in out
 
     def test_explore_races_budget(self, program_file, capsys):
         rc = main(["explore", program_file, "--races", "--timeout", "0"])

@@ -16,7 +16,11 @@ from repro.core.relations import ALL_RELATIONS, OrderingAnalyzer, RelationName
 from repro.core.witness import replay_schedule
 from repro.model.builder import ExecutionBuilder
 
-from tests.strategies import small_event_executions, small_semaphore_executions
+from tests.strategies import (
+    small_event_executions,
+    small_semaphore_executions,
+    tiny_overlay_executions,
+)
 
 
 class TestEnumerationBasics:
@@ -104,6 +108,36 @@ class TestEngineMatchesEnumeration:
         ana = OrderingAnalyzer(exe)
         for name in ALL_RELATIONS:
             assert ana.relation(name) == ref[name], name
+
+    @given(tiny_overlay_executions())
+    @settings(max_examples=15, deadline=None)
+    def test_overlay_executions_under_each_memory_model(self, exe):
+        # the whole default ladder (structural, observed, witness, hmw
+        # under SC only, engine) against F enumerated under each model;
+        # every TRUE existential and every refuted MHB shows its schedule
+        for model in ("sc", "tso"):
+            m_exe = exe.with_memory_model(model)
+            ref = relations_by_enumeration(m_exe)
+            ana = OrderingAnalyzer(m_exe)
+            for name in ALL_RELATIONS:
+                assert ana.relation(name) == ref[name], (model, name)
+            q = ana.queries
+            for a in m_exe.eids:
+                for b in m_exe.eids:
+                    if a == b:
+                        continue
+                    if q.chb(a, b):
+                        w = q.chb_witness(a, b)
+                        assert w.happened_before(a, b), (model, a, b)
+                        w.validate()
+                    if q.ccw(a, b):
+                        w = q.ccw_witness(a, b)
+                        assert w.concurrent(a, b), (model, a, b)
+                        w.validate()
+                    if not q.mhb(a, b):
+                        w = q.why_not_mhb(a, b)
+                        assert not w.happened_before(a, b), (model, a, b)
+                        w.validate()
 
     @given(small_semaphore_executions())
     @settings(max_examples=12, deadline=None)

@@ -183,4 +183,11 @@ class TestWitnesses:
         q = OrderingQueries(b.build())
         assert q.statically_ordered(x, y)
         assert not q.statically_ordered(y, x)
-        assert q.chb_witness(x, y) is q.feasible_witness()
+        assert q.feasible_witness() is not None
+        states = q.stats.states_visited
+        # answered by structure alone: no search, yet a witness schedule
+        w = q.chb_witness(x, y)
+        assert q.stats.states_visited == states
+        assert q.chb_verdict(x, y).provenance == "structural"
+        assert w is not None and w.happened_before(x, y)
+        w.validate()

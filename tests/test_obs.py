@@ -326,6 +326,9 @@ class TestMetrics:
         assert "repro_scan_interrupted 0" in text
         assert "repro_checkpoint_writes_total 0" in text
         assert "repro_worker_restarts_total" not in text
+        # written once the scan has ended: a textfile collector must
+        # not read the finished scan as up
+        assert "repro_scan_up 0" in text.splitlines()
 
     def test_planner_metrics_alone(self):
         exe = masking_execution(2)

@@ -236,6 +236,18 @@ class TestRenderStatusMetrics:
         assert samples["repro_profile_states_total"] == 1
         assert samples["repro_scan_eta_seconds"] >= 0
 
+    @pytest.mark.parametrize(
+        "state, up",
+        [("starting", 1), ("scanning", 1), ("draining", 1),
+         ("done", 0), ("interrupted", 0)],
+    )
+    def test_scan_up_reads_the_board_state(self, state, up):
+        board = StatusBoard()
+        board.begin_scan(total=1)
+        board.set_state(state)
+        samples = _parse_prometheus(render_status(board.latest(), SCAN_METRICS))
+        assert samples["repro_scan_up"] == up
+
 
 # ----------------------------------------------------------------------
 class TestObsServer:
@@ -375,13 +387,13 @@ GOLDEN_SERVE_DOC = {
 }
 
 GOLDEN_SCAN_NONE_METRICS = """\
-# HELP repro_scan_up 1 while the scan process serves
+# HELP repro_scan_up 1 until the scan ends, 0 once done or interrupted
 # TYPE repro_scan_up gauge
 repro_scan_up 1
 """
 
 GOLDEN_SCAN_METRICS = """\
-# HELP repro_scan_up 1 while the scan process serves
+# HELP repro_scan_up 1 until the scan ends, 0 once done or interrupted
 # TYPE repro_scan_up gauge
 repro_scan_up 1
 # HELP repro_scan_interrupted 1 when the scan was cut short by Ctrl-C

@@ -40,6 +40,8 @@ from repro.solve import (
     tier_of,
 )
 
+from repro.workloads import random_semaphore_execution
+
 from tests.strategies import (
     small_event_executions,
     small_semaphore_executions,
@@ -252,6 +254,31 @@ class TestPlans:
     def test_tier_of_maps_exact_to_engine(self):
         assert tier_of("exact") == "engine"
         assert tier_of("structural") == "structural"
+
+
+class TestFacades:
+    def test_conjunction_is_tagged_by_its_costlier_conjunct(self):
+        # MHB(3, 1) = not CHB(1, 3) [hmw] and not CCW(3, 1) [exact]: the
+        # engine searched, so the verdict must not read "structural"
+        exe = random_semaphore_execution(
+            processes=3, events_per_process=3, semaphores=2, seed=7
+        )
+        planner = fresh_planner(exe)
+        assert planner.chb_verdict(1, 3).provenance == "hmw"
+        assert planner.ccw_verdict(3, 1).provenance == "exact"
+        verdict = planner.mhb_verdict(3, 1)
+        assert verdict.is_true
+        assert verdict.provenance == "exact"
+
+    def test_ccw_is_one_query_per_pair(self):
+        exe, x, y = conflict_execution()
+        planner = fresh_planner(exe, plan=("engine",))
+        assert planner.ccw_verdict(x, y).is_false
+        states = planner.ctx.stats.states_visited
+        assert states > 0
+        # CCW is symmetric: the reversed pair reads the same memo entry
+        assert planner.ccw_verdict(y, x).is_false
+        assert planner.ctx.stats.states_visited == states
 
 
 class TestPlannerReport:

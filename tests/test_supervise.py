@@ -460,6 +460,7 @@ class TestKillAndResume:
         assert pair_count(str(journal)) == 2
         metrics = (tmp_path / "m.prom").read_text().splitlines()
         assert "repro_scan_interrupted 1" in metrics
+        assert "repro_scan_up 0" in metrics
         assert "repro_scan_pairs_done 2" in metrics
         assert "repro_checkpoint_writes_total 2" in metrics
         assert cli_main([
