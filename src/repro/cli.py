@@ -370,10 +370,10 @@ def _races_runner(
     return SupervisedScanner(
         jobs=max(1, args.jobs),
         limits=limits,
-        # jittered backoff: when one host-wide cause kills several
-        # workers at once, their retries spread out instead of
-        # stampeding back in lockstep (deterministic, seeded by pair)
-        retry=RetryPolicy(max_retries=args.retries, jitter=0.5),
+        # the policy's backoff is jittered: when one host-wide cause
+        # kills several workers at once, their retries spread out
+        # instead of stampeding back in lockstep (deterministic by pair)
+        retry=RetryPolicy(max_retries=args.retries),
         tracer=tracer,
     )
 
@@ -651,7 +651,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_timeout=args.max_timeout,
             max_states=args.max_states,
             limits=limits,
-            retry=RetryPolicy(max_retries=args.retries, jitter=0.5),
+            retry=RetryPolicy(max_retries=args.retries),
             plan=plan,
             drain_grace=args.drain_grace,
             degraded_after=args.degraded_after,

@@ -917,13 +917,3 @@ class FeasibilityEngine:
         if not found:
             return None
         return [Point(act >> 2, is_end) for act in path for is_end in _POINTS[act & 3]]
-
-    # ------------------------------------------------------------------
-    # convenience wrappers
-    # ------------------------------------------------------------------
-    def find_feasible_schedule(self, **kw) -> Optional[List[Point]]:
-        """Any legal serial schedule (all events atomic), or None."""
-        return self.search(**kw)
-
-    def is_completable(self, **kw) -> bool:
-        return self.search(**kw) is not None

@@ -81,9 +81,6 @@ class Gauge:
     def inc(self, amount: float = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
 
 #: default histogram buckets: sub-millisecond to minutes (seconds)
 DEFAULT_BUCKETS: Tuple[float, ...] = (

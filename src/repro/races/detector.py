@@ -12,8 +12,9 @@ results already computed nor starve the remaining pairs.
 serial or parallel.  It walks the pairs not already classified
 (``precomputed``, the checkpoint/resume path) and hands them to an
 *executor*: in-process :func:`classify_pair` on the scan-shared planner,
-or the crash-isolated pool of :class:`repro.supervise.SupervisedScanner`.
-Each :class:`PairResult` that comes back is handled in one place -- the
+or the crash-isolated pool of :class:`repro.supervise.SupervisedScanner`,
+which gets the base feasibility that planner settled first.  Each
+:class:`PairResult` that comes back is handled in one place -- the
 scan's one :class:`~repro.solve.planner.PlannerReport` and profile, the
 ``pair`` trace record, ``on_classified`` (so a journal records a pair
 the moment it exists) and the status board -- and one ``try`` turns
@@ -29,7 +30,7 @@ from typing import (
 )
 
 from repro.approx.vectorclock import VectorClockAnalysis
-from repro.budget import Budget, DEADLINE
+from repro.budget import Budget, DEADLINE, Verdict
 from repro.core.witness import Witness
 from repro.model.execution import ProgramExecution
 from repro.solve.context import EMPTY_DROP, SolveContext
@@ -140,12 +141,10 @@ class RaceReport:
 
 def _conflict_variables(exe: ProgramExecution, a: int, b: int) -> FrozenSet[str]:
     ea, eb = exe.event(a), exe.event(b)
-    out = set()
-    for x in ea.accesses:
-        for y in eb.accesses:
-            if x.conflicts_with(y):
-                out.add(x.variable)
-    return frozenset(out)
+    return frozenset(
+        x.variable for x in ea.accesses for y in eb.accesses
+        if x.conflicts_with(y)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -183,25 +182,60 @@ class PairResult(NamedTuple):
     carry none: that planner tallies into the scan's own report)."""
 
     classification: "PairClassification"
-    planner: Tuple[Dict[str, Any], ...] = ()
+    planner: Optional[Dict[str, Any]] = None
     profile: Optional[Dict[str, Any]] = None
 
 
-def race_execution(exe: ProgramExecution, a: int, b: int) -> ProgramExecution:
-    """The execution a race of ``a`` and ``b`` is judged on: ``exe``
-    without the dependence edges between exactly ``a`` and ``b`` (see
-    :meth:`RaceDetector.feasible_races`)."""
-    drop = {(x, y) for (x, y) in exe.dependences if {x, y} == {a, b}}
-    return exe.with_dependences(exe.dependences - drop) if drop else exe
+def racing_drop(
+    exe: ProgramExecution, a: int, b: int
+) -> FrozenSet[Tuple[int, int]]:
+    """The dependence edges between exactly ``a`` and ``b`` -- what a
+    race query drops so the observed pairing cannot mask the race under
+    test (see :meth:`RaceDetector.feasible_races`)."""
+    return frozenset((x, y) for (x, y) in exe.dependences if {x, y} == {a, b})
 
 
 def race_witness(exe: ProgramExecution, a: int, b: int, points) -> Witness:
     """A feasible race's witness schedule, bound to the execution it
-    replays on: :func:`race_execution`.  Every race witness -- fresh
-    from :func:`classify_pair`, or rebuilt from a worker result, a
-    checkpoint journal or a saved report -- is bound here.  (A schedule
-    found with the pair's dependences kept replays there a fortiori.)"""
-    return Witness(race_execution(exe, a, b), points)
+    replays on: ``exe`` without :func:`racing_drop`.  Every race witness
+    -- fresh from :func:`classify_pair`, or rebuilt from a worker
+    result, a checkpoint journal or a saved report -- is bound here.  (A
+    schedule found with the pair's dependences kept replays there a
+    fortiori.)"""
+    drop = racing_drop(exe, a, b)
+    if drop:
+        exe = exe.with_dependences(exe.dependences - drop)
+    return Witness(exe, points)
+
+
+def _pair_budget(
+    budget: Optional[Budget], options: PairScanOptions
+) -> Optional[Budget]:
+    """The budget one pair's query runs under: the scan's, tightened by
+    the per-pair limits (``None``: neither applies)."""
+    if budget is None:
+        if options.max_states is None and options.pair_timeout is None:
+            return None
+        budget = Budget()
+    return budget.per_query(
+        max_states=options.max_states, timeout=options.pair_timeout
+    )
+
+
+def _settle_base(
+    planner: QueryPlanner, runner, budget: Optional[Budget],
+    options: PairScanOptions,
+) -> Optional[Verdict]:
+    """Settle "is F non-empty" on the scan's planner before a pool
+    starts, under one pair's budget; ``None`` leaves a check that budget
+    leaves unbounded to workers under kernel ``limits`` (capped there,
+    not here).  In process, the first pair's query resolves it instead,
+    so a scan already past its deadline poses no query at all."""
+    check = _pair_budget(budget, options)
+    limits = getattr(runner, "limits", None)
+    if check is None and limits is not None and limits.any():
+        return None
+    return planner.feasible_verdict(budget=check)
 
 
 def classify_pair(
@@ -221,8 +255,8 @@ def classify_pair(
     name and run it against their own deserialized copy of the
     execution.  ``planner`` lets a scan share one
     :class:`~repro.solve.planner.QueryPlanner` across pairs (structural
-    bitsets, the conflict index and every witness found so far carry
-    over); without one, an ephemeral planner is built for the pair.
+    bitsets and every witness found so far carry over); without one, an
+    ephemeral planner is built for the pair.
     The racing pair's own dependence edges are expressed as a ``drop``
     on the query rather than a rebuilt execution, so the shared
     precomputation stays valid.  ``por`` selects the exact engine's
@@ -231,10 +265,9 @@ def classify_pair(
     """
     if planner is None:
         planner = QueryPlanner(SolveContext(exe, por=por))
-    ctx = planner.ctx
     if variables is None:
-        variables = ctx.conflict_variables(a, b)
-    drop = ctx.racing_drop(a, b) if drop_racing_dependences else EMPTY_DROP
+        variables = _conflict_variables(exe, a, b)
+    drop = racing_drop(exe, a, b) if drop_racing_dependences else EMPTY_DROP
     verdict = planner.ccw_verdict(a, b, drop=drop, budget=budget)
     if verdict.is_true:
         witness = verdict.witness
@@ -255,7 +288,9 @@ def classify_pair(
 class _InProcess:
     """The ``--jobs 1`` executor: :func:`classify_pair` on the scan's
     shared planner, one pair per ``next()``.  Every executor has this
-    surface: ``start``; ``next`` (a :class:`PairResult`, a pool's worker
+    surface: ``start`` (with the base feasibility verdict the scan
+    settled up front, or ``None``: this planner resolves it in the first
+    pair's query); ``next`` (a :class:`PairResult`, a pool's worker
     lifecycle record, or ``None`` when done); ``interrupt`` (start no
     further pair); ``close``."""
 
@@ -264,26 +299,22 @@ class _InProcess:
         self._tasks: Iterator[PairTask] = iter(())
 
     def start(self, exe: ProgramExecution, tasks: Sequence[PairTask],
-              options: PairScanOptions) -> None:
+              options: PairScanOptions,
+              feasible: Optional[Verdict] = None) -> None:
         self.exe, self.options = exe, options
         self._tasks = iter(tasks)
 
     def next(self) -> Optional[PairResult]:
         for a, b, variables in self._tasks:
-            budget = self.budget
-            if budget is not None:
-                if budget.expired():
-                    return PairResult(PairClassification(
-                        a, b, UNKNOWN, variables, resource=DEADLINE
-                    ))
-                budget = budget.per_query(
-                    max_states=self.options.max_states,
-                    timeout=self.options.pair_timeout,
-                )
+            if self.budget is not None and self.budget.expired():
+                return PairResult(PairClassification(
+                    a, b, UNKNOWN, variables, resource=DEADLINE
+                ))
             return PairResult(classify_pair(
                 self.exe, a, b,
                 drop_racing_dependences=self.options.drop_racing_dependences,
-                budget=budget, variables=variables, planner=self.planner,
+                budget=_pair_budget(self.budget, self.options),
+                variables=variables, planner=self.planner,
             ))
         return None
 
@@ -291,7 +322,7 @@ class _InProcess:
         self._tasks = iter(())
 
     def close(self) -> None:
-        self.planner.attach_profiler(None)
+        pass
 
 
 class RaceDetector:
@@ -394,7 +425,10 @@ class RaceDetector:
         pairs are not re-examined.  The rest go to ``runner`` -- an
         executor such as :class:`~repro.supervise.SupervisedScanner`
         (the crash-isolated pool) -- or, by default, to
-        :func:`classify_pair` on the shared planner in this thread.
+        :func:`classify_pair` on the shared planner in this thread.  A
+        pool gets the base feasibility ("is F non-empty") that the
+        shared planner settles before it starts (see :func:`_settle_base`);
+        in process, the first pair's query resolves it.
         ``on_classified`` is invoked once per *freshly computed*
         classification as soon as it is known, so a journal stays
         current even if the scan is later killed.  The first Ctrl-C
@@ -406,8 +440,8 @@ class RaceDetector:
         Observers, each fed from this one loop: ``tracer`` (a
         :class:`~repro.obs.trace.TraceSink`) gets ``scan.start``, one
         ``pair`` record per fresh classification, ``profile`` and
-        ``scan.end`` (the in-process planner adds its query spans; the
-        pool traces its workers to its own tracer -- give it the same
+        ``scan.end`` (the shared planner adds its query spans; the pool
+        traces its workers to its own tracer -- give it the same
         sink).  ``profile`` (a :class:`~repro.obs.profile.SearchProfile`)
         accumulates choice-point attribution across the scan and rides
         on the report; profiling is a pure observer.  ``board`` (a
@@ -445,8 +479,8 @@ class RaceDetector:
                 if board is not None:
                     board.observe(result)
                 return
-            c, snapshots, profile_snapshot = result
-            for snapshot in snapshots:
+            c, snapshot, profile_snapshot = result
+            if snapshot:
                 report.merge(snapshot)
             if profile_snapshot and profile is not None:
                 profile.merge(profile_snapshot)
@@ -467,15 +501,16 @@ class RaceDetector:
 
         interrupted = False
         if todo:
-            if runner is None:
-                planner = self.planner
-                planner.report = report  # tally this scan only
-                if traced:
-                    planner.attach_tracer(tracer)
-                if profile is not None:
-                    planner.attach_profiler(profile)
-                if board is not None:
-                    planner.attach_board(board)
+            planner = self.planner
+            planner.report = report  # tally this scan only
+            if traced:
+                planner.attach_tracer(tracer)
+            if profile is not None:
+                planner.attach_profiler(profile)
+            if board is not None:
+                planner.attach_board(board)
+            pooled = runner is not None
+            if not pooled:
                 runner = _InProcess(planner, budget)
             options = PairScanOptions(
                 drop_racing_dependences=drop_racing_dependences,
@@ -499,7 +534,10 @@ class RaceDetector:
 
             try:
                 try:
-                    runner.start(self.exe, todo, options)
+                    feasible = None
+                    if pooled:
+                        feasible = _settle_base(planner, runner, budget, options)
+                    runner.start(self.exe, todo, options, feasible)
                     fold_all()
                 except KeyboardInterrupt:
                     interrupted = True
@@ -509,6 +547,7 @@ class RaceDetector:
                     fold_all()  # a second Ctrl-C propagates
             finally:
                 runner.close()
+                planner.attach_profiler(None)
         if board is not None:
             board.set_state("interrupted" if interrupted else "done")
         order = {pair: i for i, pair in enumerate(pairs)}

@@ -102,7 +102,6 @@ from repro.obs.server import (
 from repro.obs.trace import NULL_SINK, FailsafeSink, TraceSink
 from repro.serve.admission import AdmissionQueue, Draining, Overloaded
 from repro.serve.store import WitnessStore
-from repro.solve.planner import PlannerReport
 from repro.supervise.pool import QUERY_RELATIONS, QueryWorkerPool
 from repro.supervise.retry import RetryPolicy
 from repro.supervise.rlimits import ResourceLimits
@@ -711,16 +710,9 @@ class QueryDaemon(HttpServer):
             outcome = self.pool.result(tid, timeout=wait)
         # the worker's spans (already uid-tagged by the pool) ride the
         # outcome; pull them off before the response body is built.  A
-        # fresh planner's one-off feasibility check rides apart (a scan
-        # counts it once); this query's tally and trace include it
-        worker_spans = outcome.pop("spans", None) or []
-        base = outcome.pop("base", None)
-        if base is not None:
-            tally = PlannerReport.from_snapshot(base["planner"])
-            tally.merge(outcome["planner"])
-            outcome["planner"] = tally.snapshot()
-            worker_spans = (base.get("spans") or []) + worker_spans
-        obs.spans.extend(worker_spans)
+        # fresh planner resolves "is F non-empty" inside the query, so
+        # its tally and spans include that check
+        obs.spans.extend(outcome.pop("spans", None) or [])
         # -- persist what the query discovered ------------------------
         with obs.phase("store.write"):
             persisted = self.store.add_points(

@@ -9,7 +9,7 @@ Public surface:
   :data:`~repro.solve.backends.BEST_EFFORT_PLAN`,
   :func:`~repro.solve.backends.resolve_plan` -- the registry;
 * :class:`~repro.solve.context.SolveContext` -- shared per-execution
-  precomputation (reachability bitsets, conflict index, witness cache);
+  precomputation (reachability bitsets, witness cache);
 * :class:`~repro.solve.planner.QueryPlanner` /
   :class:`~repro.solve.planner.PlannerReport` -- the escalation ladder
   and its accounting.

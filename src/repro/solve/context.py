@@ -8,8 +8,6 @@ computed twice:
   graph (completion order with join edges, interval order without),
   with a drop-aware DFS refinement for queries that ignore some
   dependences;
-* the **conflict-variable index** (variable -> per-event access sets),
-  hoisted out of the race detector's per-pair loop;
 * the validated **observed witness** (the traced schedule replayed
   through the reference semantics once, then reused as a free member
   of ``F``);
@@ -87,15 +85,6 @@ class SolveContext:
         for x, y in sorted(exe.dependences):
             self._dep_succ.setdefault(x, []).append(y)
 
-        # conflict-variable index: per-event write/access variable sets
-        self._writes: List[FrozenSet[str]] = []
-        self._touched: List[FrozenSet[str]] = []
-        for e in exe.events:
-            self._writes.append(
-                frozenset(acc.variable for acc in e.accesses if acc.is_write)
-            )
-            self._touched.append(frozenset(acc.variable for acc in e.accesses))
-
         self._observed_witness: Optional[Witness] = None
         self._observed_checked = False
         self._engines: Dict[FrozenSet[Tuple[int, int]], FeasibilityEngine] = {}
@@ -168,23 +157,6 @@ class SolveContext:
         if not drop:
             return True
         return self._drop_reachable(a, b, drop, self._interval_succ)
-
-    # ------------------------------------------------------------------
-    # conflict-variable index (hoisted from races/detector per-pair loop)
-    # ------------------------------------------------------------------
-    def conflict_variables(self, a: int, b: int) -> FrozenSet[str]:
-        """Shared variables the two events access conflictingly."""
-        return (self._writes[a] & self._touched[b]) | (
-            self._writes[b] & self._touched[a]
-        )
-
-    def racing_drop(self, a: int, b: int) -> FrozenSet[Tuple[int, int]]:
-        """The dependence edges between exactly ``a`` and ``b`` -- what
-        the race detector drops so the observed pairing cannot mask the
-        race under test."""
-        return frozenset(
-            (x, y) for (x, y) in self.exe.dependences if {x, y} == {a, b}
-        )
 
     # ------------------------------------------------------------------
     # persistent witness reuse (the ``repro serve`` store)

@@ -210,16 +210,6 @@ class WitnessCache:
                 return entry.witness
         return None
 
-    def find_ccw(
-        self, a: int, b: int, drop: FrozenSet[Tuple[int, int]]
-    ) -> Optional[Witness]:
-        """A cached member of ``F(drop)`` overlapping ``a`` and ``b``."""
-        for entry in self.entries_for(drop):
-            if entry.witness.concurrent(a, b):
-                self.hits += 1
-                return entry.witness
-        return None
-
     # ------------------------------------------------------------------
     def widen_overlap(
         self, a: int, b: int, drop: FrozenSet[Tuple[int, int]]

@@ -12,8 +12,8 @@ individual searches die:
   their pairs;
 * :mod:`repro.supervise.rlimits` -- kernel ``setrlimit`` caps so a
   blown search is killed by the OS instead of taking the host down;
-* :mod:`repro.supervise.retry` -- bounded retries with exponential
-  backoff and optional budget escalation;
+* :mod:`repro.supervise.retry` -- bounded retries with jittered
+  exponential backoff;
 * :mod:`repro.supervise.checkpoint` -- an append-only, fsync'ed JSONL
   journal of per-pair classifications keyed by a fingerprint of the
   execution + budget, enabling kill-anywhere / ``--resume`` scans.

@@ -8,7 +8,7 @@ killed by the OS (segfault, OOM kill, CPU rlimit) permanently breaks a
 an error: the supervisor knows exactly which job each worker holds (one
 in-flight job per worker, over a private queue), so when a worker dies
 the job is retried under the :class:`~repro.supervise.retry.RetryPolicy`
-(backoff + optional budget escalation) or finalized ``UNKNOWN`` with
+(jittered backoff) or finalized ``UNKNOWN`` with
 the resource that killed it (``"crash"``, ``"memory"``, ``"cpu"``,
 ``"deadline"``), a replacement worker is spawned, and the pool keeps
 draining.
@@ -86,7 +86,7 @@ from multiprocessing.connection import wait as wait_any
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import faults as faults_mod
-from repro.budget import Budget, DEADLINE
+from repro.budget import Budget, DEADLINE, Verdict
 from repro.model import serialize
 from repro.obs.profile import SearchProfile
 from repro.obs.trace import NULL_SINK, RecordingSink
@@ -171,6 +171,13 @@ def _query_worker_main(task_q, conn, lifeline, conf) -> None:
     to answer without any shared state.  ``por``, ``plan`` and
     ``profile`` come from ``conf`` and apply to every planner.
 
+    A scan's request also carries the base feasibility its parent
+    settled (``feasible``: the truth, its provenance and the member of
+    F that showed it, if any): a fresh planner takes that as known, and
+    seeds the member, instead of checking again.  Without it (every
+    daemon request) the planner resolves "is F non-empty" inside the
+    first query's own tally and trace, like any other query it poses.
+
     ``lifeline`` is the read end of a pipe only the pool holds open: at
     EOF (the pool retired this worker, or its process died) an idle
     worker exits, since the task queue, whose write end every worker
@@ -191,7 +198,7 @@ def _query_worker_main(task_q, conn, lifeline, conf) -> None:
     # one pipe message (drops are accounted, never blocked on)
     sink: Optional[RecordingSink] = None
     if conf.get("trace"):
-        sink = RecordingSink(capacity=int(conf.get("trace_capacity", 4096)))
+        sink = RecordingSink(capacity=_TRACE_CAPACITY)
     # when the parent profiles, attribute search states to branch choice
     # points; the per-job snapshot rides each result, so a crashed
     # worker loses a job's profile together with its answer
@@ -209,7 +216,7 @@ def _query_worker_main(task_q, conn, lifeline, conf) -> None:
             continue
         if msg is None:
             return
-        task_id, req, attempt, max_states, timeout = msg
+        task_id, req, attempt, timeout = msg
         try:
             faults_mod.fire("pool.task")
             eval_t0 = time.monotonic()
@@ -225,6 +232,10 @@ def _query_worker_main(task_q, conn, lifeline, conf) -> None:
                 if isinstance(exe_doc, str):
                     exe_doc = json.loads(exe_doc)
                 ctx = SolveContext(serialize.execution_from_dict(exe_doc), por=por)
+                if req.get("feasible") is not None:
+                    ctx.feasible, ctx.feasible_provenance, member = req["feasible"]
+                    if member:
+                        ctx.seed_witnesses([member])
                 planner = QueryPlanner(ctx, plan)
                 if sink is not None:
                     planner.attach_tracer(sink)
@@ -237,22 +248,12 @@ def _query_worker_main(task_q, conn, lifeline, conf) -> None:
             # *this* query discovers ship home for persisting
             mark = planner.ctx.seed_witnesses(req.get("witnesses") or ())
             budget = None
+            max_states = req.get("max_states")
             if max_states is not None or timeout is not None:
                 budget = Budget.of(max_states=max_states, timeout=timeout)
             if profile is not None:
                 profile.reset()  # per-job attribution
             relation = req.get("relation", "race")
-            base = None
-            if planner.ctx.feasible is None and relation == "race":
-                # the planner's one-off "is F non-empty" resolution, on
-                # its own tally: every worker's planner runs it once,
-                # where a serial scan runs it once in all, so the scan
-                # counts only the first one it receives
-                planner.report = PlannerReport()
-                planner.feasible_verdict(budget=budget)
-                base = {"planner": planner.report.snapshot()}
-                if sink is not None:
-                    base["spans"] = sink.drain()
             planner.report = PlannerReport()  # per-query tier tallies
             if relation == "race":
                 c = classify_pair(
@@ -280,8 +281,6 @@ def _query_worker_main(task_q, conn, lifeline, conf) -> None:
                 payload = _verdict_payload(method(int(a), int(b), budget=budget))
             payload["planner"] = planner.report.snapshot()
             payload["witnesses_found"] = planner.ctx.witnesses.points_since(mark)
-            if base is not None:
-                payload["base"] = base
             if profile is not None:
                 payload["profile"] = profile.snapshot()
             if sink is not None:
@@ -384,6 +383,8 @@ class _Worker:
 _NO_STATUS = 255
 #: how often an idle worker checks its lifeline, in seconds
 _LIFELINE_CHECK = 1.0
+#: spans a traced worker buffers per job (they ride one pipe message)
+_TRACE_CAPACITY = 4096
 
 #: what the forkserver imports before it forks any worker
 _PRELOAD = ["repro.supervise.pool"]
@@ -531,30 +532,29 @@ class QueryWorkerPool:
     Budgets and wall kills follow one rule.  A job's deadline is its
     request's ``deadline`` when given (absolute :func:`time.monotonic`,
     ``None`` for none), else ``timeout`` seconds after submission.  Each
-    attempt runs under ``min(timeout, deadline - now)`` with
-    ``max_states`` escalated by :meth:`RetryPolicy.escalated_states`.
-    The worker holding it is killed ``attempt timeout + wall_grace``
-    after it reports ready, or at ``deadline + wall_grace`` if it never
-    does; a job with neither a timeout nor a deadline has no wall kill.
+    attempt runs under ``max_states`` and ``min(timeout, deadline -
+    now)``.  The worker holding it is killed ``attempt timeout +
+    wall_grace`` after it reports ready, or at ``deadline + wall_grace``
+    if it never does; a job with neither a timeout nor a deadline has no
+    wall kill.
 
     A request is a dict: ``fingerprint`` + ``execution`` (its JSON
     document, as a dict or as text), ``relation`` (one of
     :data:`QUERY_RELATIONS`), event ids ``a``/``b`` for pair
     relations, optional ``drop_racing``, ``max_states``/``timeout``
     (the per-query budget -- the *caller* clamps, see
-    :func:`repro.budget.clamp_request`), optional ``deadline``, and
+    :func:`repro.budget.clamp_request`), optional ``deadline``,
     optional ``witnesses`` (stored schedules to seed the worker's
-    cache).  The outcome is a dict: ``verdict`` / ``decided_by`` /
-    ``resource``, optional ``witness`` and ``classification``, the
-    per-query ``planner`` tier snapshot, and ``witnesses_found`` --
-    newly discovered schedules the caller should persist.  When a race
-    query also resolved its planner's one-off feasibility check, that
-    check's tally (and spans) ride apart under ``base``.  A pool built
-    with ``trace=True``
-    additionally ships ``spans``: the worker's in-memory query trace
-    (bounded by ``trace_capacity``) plus a ``serve.worker.eval`` bound,
-    each tagged with the worker uid -- the caller adds the request id
-    and emits them to its sink.
+    cache), and, from a scan only, the base feasibility its parent
+    settled (``feasible``).  The outcome is a
+    dict: ``verdict`` / ``decided_by`` / ``resource``, optional
+    ``witness`` and ``classification``, the per-query ``planner`` tier
+    snapshot (the feasibility check included, when the query ran it),
+    and ``witnesses_found`` -- newly discovered schedules the caller
+    should persist.  A pool built with ``trace=True`` additionally
+    ships ``spans``: the worker's in-memory query trace (bounded) plus
+    a ``serve.worker.eval`` bound, each tagged with the worker uid --
+    the caller adds the request id and emits them to its sink.
     """
 
     #: worker settings fixed for the pool's lifetime (a scan's private
@@ -572,13 +572,12 @@ class QueryWorkerPool:
         wall_grace: float = 5.0,
         context_capacity: int = 8,
         trace: bool = False,
-        trace_capacity: int = 4096,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.limits = limits
-        self.retry = retry if retry is not None else RetryPolicy(jitter=0.5)
+        self.retry = retry if retry is not None else RetryPolicy()
         self.plan = list(plan) if plan is not None else None
         self.wall_grace = wall_grace
         self.context_capacity = context_capacity
@@ -591,7 +590,6 @@ class QueryWorkerPool:
             "profile": self.profile,
             "context_capacity": context_capacity,
             "trace": bool(trace),
-            "trace_capacity": trace_capacity,
         }
         self._lock = threading.Lock()
         self._jobs: Dict[int, _QueryJob] = {}
@@ -824,10 +822,7 @@ class QueryWorkerPool:
         if job.deadline is not None:
             left = max(0.001, job.deadline - now)
             timeout = left if timeout is None else min(float(timeout), left)
-        max_states = self.retry.escalated_states(
-            req.get("max_states"), job.attempt
-        )
-        w.task_q.put((tid, req, job.attempt, max_states, timeout))
+        w.task_q.put((tid, req, job.attempt, timeout))
         w.busy_task = tid
         self._note({"kind": "worker.dispatch", "worker": w.uid,
                     "a": req.get("a"), "b": req.get("b")})
@@ -857,10 +852,8 @@ class QueryWorkerPool:
         if kind == "ok":
             # shipped spans carry the provenance the pool knows (the
             # worker uid); the caller adds the request id and emits
-            for spans in (payload.get("spans"),
-                          (payload.get("base") or {}).get("spans")):
-                for span in spans or ():
-                    span.setdefault("worker", w.uid)
+            for span in payload.get("spans") or ():
+                span.setdefault("worker", w.uid)
             job = self._jobs.get(tid)
             if job is not None:
                 self._note({"kind": "worker.result", "worker": w.uid,
@@ -899,9 +892,7 @@ class QueryWorkerPool:
                     for tid in stranded:
                         self._finalize(tid, _unknown_outcome(CRASH))
                 with self._lock:
-                    unfinished = any(
-                        j.outcome is None for j in self._jobs.values()
-                    )
+                    unfinished = self._answered < self._submitted
                     stopping = self._stop.is_set()
                     drain_deadline = self._drain_deadline
                 if stopping and (not unfinished or now >= drain_deadline):
@@ -1010,7 +1001,11 @@ class SupervisedScanner:
 
     :meth:`start` submits every pair up front, one ``relation="race"``
     request each, under the pool's budget, wall-kill and retry rules (an
-    unbudgeted scan may run for days).  :meth:`next` blocks on the scan
+    unbudgeted scan may run for days).  Each request carries the base
+    feasibility verdict the scan settled before it started, when that
+    verdict is definite (with the member of F that showed it), so no
+    worker checks it again; otherwise each fresh worker planner checks
+    it inside its first pair's tally.  :meth:`next` blocks on the scan
     loop's thread for the next finished pair, a
     :class:`~repro.races.detector.PairResult` with the worker's planner
     and profile snapshots, or the next worker lifecycle record.
@@ -1023,9 +1018,10 @@ class SupervisedScanner:
     jobs:
         Worker process count (>= 1).
     limits:
-        Kernel caps installed in every worker.
+        Kernel caps installed in every worker (a scan with no state or
+        time cap leaves its base feasibility check to them).
     retry:
-        Crash/retry policy (default: one retry, mild backoff).
+        Crash/retry policy (default: one retry, mild jittered backoff).
     drain_grace:
         Seconds an interrupted scan waits for the answers of pairs
         already in flight.
@@ -1059,16 +1055,22 @@ class SupervisedScanner:
         self.drain_grace = drain_grace
         self.tracer = tracer if tracer is not None else NULL_SINK
         self._pool: Optional[_ScanPool] = None
-
-    # ------------------------------------------------------------------
-    def start(self, exe, tasks: Sequence[PairTask],
-              options: PairScanOptions) -> None:
-        """Start a private pool and submit every pair of ``tasks``."""
-        self._exe, self._tasks = exe, tasks
+        # what next() reads, also when a scan is interrupted before
+        # start() ran
         self._events: "queue.SimpleQueue[Dict[str, Any]]" = queue.SimpleQueue()
         self._unanswered = 0
-        self._draining = self._base_counted = False
         self._boot_failure: Optional[str] = None
+
+    # ------------------------------------------------------------------
+    def start(self, exe, tasks: Sequence[PairTask], options: PairScanOptions,
+              feasible: Optional[Verdict] = None) -> None:
+        """Start a private pool and submit every pair of ``tasks``;
+        ``feasible`` is the scan's base feasibility verdict, if any."""
+        self._exe, self._tasks = exe, tasks
+        self._events = queue.SimpleQueue()
+        self._unanswered = 0
+        self._draining = False
+        self._boot_failure = None
         self._traced = self.tracer.enabled
         request = {
             "fingerprint": serialize.execution_fingerprint(exe),
@@ -1079,6 +1081,12 @@ class SupervisedScanner:
             "timeout": options.pair_timeout,
             "deadline": options.deadline,
         }
+        if feasible is not None and not feasible.is_unknown:
+            # only a worker that builds a fresh planner reads it
+            w = feasible.witness
+            points = () if w is None else w.points
+            request["feasible"] = (feasible.is_true, feasible.provenance,
+                                   [[p.eid, int(p.is_end)] for p in points])
         self._pool = _ScanPool(
             self._events, options, workers=self.jobs, limits=self.limits,
             retry=self.retry, trace=self._traced,
@@ -1123,13 +1131,6 @@ class SupervisedScanner:
             pool.close(drain=False)
             self._boot_failure = pool.boot_failure
 
-    def _emit_spans(self, spans) -> None:
-        for span in spans or ():
-            # the daemon's evaluation bound: a scan's dispatch and
-            # result records already bound each attempt
-            if span["kind"] != "serve.worker.eval":
-                self.tracer.emit(span)
-
     def _answer(self, tid: int) -> Optional[PairResult]:
         outcome = self._pool.result(tid)
         if "classification" not in outcome:
@@ -1142,18 +1143,16 @@ class SupervisedScanner:
             return PairResult(PairClassification(
                 a, b, UNKNOWN, variables, resource=outcome["resource"]
             ))
-        snapshots = (outcome["planner"],)
-        base = outcome.get("base")
-        if base is not None and not self._base_counted:
-            self._base_counted = True
-            snapshots = (base["planner"],) + snapshots
-            self._emit_spans(base.get("spans"))
-        self._emit_spans(outcome.get("spans"))
+        for span in outcome.get("spans") or ():
+            # the daemon's evaluation bound: a scan's dispatch and
+            # result records already bound each attempt
+            if span["kind"] != "serve.worker.eval":
+                self.tracer.emit(span)
         return PairResult(
             serialize.classification_from_dict(
                 self._exe, outcome["classification"]
             ),
-            snapshots,
+            outcome["planner"],
             outcome.get("profile"),
         )
 

@@ -4,9 +4,7 @@ A worker death is not always the pair's fault -- the host may have been
 under memory pressure, the CPU cap may have been marginal -- so a
 failed pair gets a bounded number of fresh attempts, spaced by
 exponential backoff (so a systematically crashing pair cannot hot-loop
-worker churn) and optionally with an *escalated* state budget, on the
-theory that a pair which died near its cap may well be decidable just
-past it.  When the attempts are spent, the pair is classified
+worker churn).  When the attempts are spent, the pair is classified
 ``unknown`` with the resource that killed it, and the scan moves on.
 
 Backoff is *jittered*: when several workers die of one shared cause (a
@@ -14,7 +12,7 @@ host-wide memory squeeze OOM-kills half the pool at once), pure
 exponential backoff makes every replacement retry at the same instant
 and re-create the very stampede that killed them.  Each retry's delay
 is therefore scattered inside ``[delay * (1 - jitter), delay]`` by a
-hash of ``(jitter_seed, key, attempt)`` -- fully deterministic, so
+hash of ``(key, attempt)`` -- fully deterministic, so
 supervised scans stay reproducible (the same scan replays the same
 delays), yet different tasks spread out instead of thundering back in
 lockstep.
@@ -24,18 +22,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
 
-def _jitter_fraction(seed: int, key: object, attempt: int) -> float:
+def _jitter_fraction(key: object, attempt: int) -> float:
     """A deterministic pseudo-random fraction in ``[0, 1)`` derived
-    from the policy seed, the task key and the attempt number.
+    from the task key and the attempt number.
 
     sha256 rather than :func:`hash`: the builtin is salted per process
     (``PYTHONHASHSEED``), which would make delays differ between a scan
     and its resume -- exactly the nondeterminism jitter must not add.
     """
-    blob = f"{seed}:{key!r}:{attempt}".encode("utf-8")
+    blob = f"{key!r}:{attempt}".encode("utf-8")
     digest = hashlib.sha256(blob).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
@@ -50,26 +47,17 @@ class RetryPolicy:
         Extra attempts after the first failure (0 = fail immediately).
     backoff_base / backoff_factor:
         The ``k``-th retry is delayed ``base * factor**(k-1)`` seconds.
-    state_escalation:
-        Multiplier applied to the per-pair ``max_states`` cap on each
-        retry (1.0 = same budget every attempt).
     jitter:
         Fraction of each delay scattered deterministically: retry
         ``k`` of task ``key`` waits between ``delay * (1 - jitter)``
         and the full ``delay``.  0.0 restores exact exponential
-        backoff (and is the default so pre-jitter callers see
-        identical timing).
-    jitter_seed:
-        Seed mixed into the jitter hash, so two pools supervising the
-        same keys can still de-correlate from each other.
+        backoff.
     """
 
     max_retries: int = 1
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
-    state_escalation: float = 1.0
-    jitter: float = 0.0
-    jitter_seed: int = 0
+    jitter: float = 0.5
 
     def should_retry(self, failures: int) -> bool:
         """True when a pair that has failed ``failures`` times (>= 1)
@@ -87,16 +75,8 @@ class RetryPolicy:
         base = self.backoff_base * (self.backoff_factor ** (attempt - 1))
         if self.jitter <= 0.0:
             return base
-        frac = _jitter_fraction(self.jitter_seed, key, attempt)
+        frac = _jitter_fraction(key, attempt)
         return base * (1.0 - self.jitter * frac)
-
-    def escalated_states(
-        self, max_states: Optional[int], attempt: int
-    ) -> Optional[int]:
-        """The per-pair state cap for ``attempt`` (0 = first try)."""
-        if max_states is None or attempt <= 0 or self.state_escalation == 1.0:
-            return max_states
-        return max(1, int(max_states * (self.state_escalation ** attempt)))
 
 
 __all__ = ["RetryPolicy"]

@@ -222,9 +222,14 @@ class TestTraceMatchesReport:
         summary = summarize_trace(path)
         assert summary.planner.snapshot() == report.planner.snapshot()
         assert summary.worker_events.get("spawn", 0) >= 1
-        # every query span came from a worker and says which one
+        # the scan's own planner settles "is F non-empty" once, before
+        # the pool starts; every other query span came from a worker and
+        # says which one
         queries = [r for r in read_trace(path) if r["kind"] == "query"]
-        assert queries and all("worker" in r for r in queries)
+        parent = [r for r in queries if "worker" not in r]
+        assert [r["relation"] for r in parent] == ["feasible"]
+        assert len(queries) > 1
+        assert all("worker" in r for r in queries if r is not parent[0])
 
     def test_query_planner_traces_memo_hits_too(self):
         exe = masking_execution(2)

@@ -676,6 +676,41 @@ class TestQueryDaemon:
         assert engine_states(q2["planner"]) == 0
         assert "engine" not in q2["planner"]["tiers"]
 
+    def test_race_query_tallies_its_own_feasibility_check(
+        self, daemon_factory
+    ):
+        """A fresh worker's planner settles "is F non-empty" inside the
+        first race query: its tally counts that check (observed) beside
+        the pair's engine search; the repeat is one memo hit."""
+        exe = masking_execution(2)
+        a, b = exe.conflicting_pairs()[0]
+        d = daemon_factory()
+        code, out, _ = _post(
+            d.url("/executions"), serialize.execution_to_dict(exe)
+        )
+        assert code == 200
+        query = {"fingerprint": out["fingerprint"], "relation": "race",
+                 "a": a, "b": b}
+
+        def counts(snapshot):
+            for tally in snapshot["tiers"].values():
+                del tally["elapsed"]
+            return snapshot
+
+        code, first, _ = _post(d.url("/query"), query)
+        assert code == 200 and first["verdict"] == "feasible"
+        assert counts(first["planner"]) == {
+            "queries": 2, "unknown": 0,
+            "tiers": {"engine": {"answered": 1, "states": 9},
+                      "observed": {"answered": 1, "states": 0}},
+        }
+        code, repeat, _ = _post(d.url("/query"), query)
+        assert code == 200 and repeat["verdict"] == "feasible"
+        assert counts(repeat["planner"]) == {
+            "queries": 1, "unknown": 0,
+            "tiers": {"engine": {"answered": 1, "states": 0}},
+        }
+
     def test_inline_execution_is_stored_and_query_variants(
         self, daemon_factory
     ):

@@ -25,7 +25,7 @@ from repro.core.relations import RelationName
 from repro.core.witness import replay_schedule
 from repro.encoding.order_sat import OrderSatEncoder
 from repro.model.builder import ExecutionBuilder
-from repro.races.detector import RaceDetector
+from repro.races.detector import RaceDetector, racing_drop
 from repro.sat.cnf import parse_dimacs
 from repro.sat.dpll import DPLLSolver, SolveBudgetExceeded
 from repro.solve import (
@@ -170,7 +170,7 @@ class TestWitnessReuse:
         schedule into an overlap witness: decided with zero states."""
         exe, x, y = conflict_execution()
         planner = fresh_planner(exe)
-        drop = planner.ctx.racing_drop(x, y)
+        drop = racing_drop(exe, x, y)
         v = planner.ccw_verdict(x, y, drop=drop)
         assert v.is_true and v.provenance == "witness"
         assert v.witness.concurrent(x, y)
@@ -197,7 +197,7 @@ class TestWitnessReuse:
     def test_unknown_is_not_memoized_retry_decides(self):
         exe, x, y = conflict_execution()
         planner = fresh_planner(exe, plan=("engine",))
-        drop = planner.ctx.racing_drop(x, y)
+        drop = racing_drop(exe, x, y)
         first = planner.ccw_verdict(x, y, drop=drop, budget=Budget.of(max_states=1))
         assert first.is_unknown
         second = planner.ccw_verdict(x, y, drop=drop)
@@ -216,7 +216,7 @@ class TestDropQueries:
         exe, x, y = conflict_execution()
         planner = fresh_planner(exe)
         base = planner.ccw_verdict(x, y)
-        relaxed = planner.ccw_verdict(x, y, drop=planner.ctx.racing_drop(x, y))
+        relaxed = planner.ccw_verdict(x, y, drop=racing_drop(exe, x, y))
         # the dependence orders them in every member of F; dropping it
         # frees the overlap
         assert base.is_false
@@ -225,7 +225,7 @@ class TestDropQueries:
     def test_drop_queries_memoize_separately(self):
         exe, x, y = conflict_execution()
         planner = fresh_planner(exe)
-        assert planner.ccw_verdict(x, y, drop=planner.ctx.racing_drop(x, y)).is_true
+        assert planner.ccw_verdict(x, y, drop=racing_drop(exe, x, y)).is_true
         assert planner.ccw_verdict(x, y).is_false
 
 

@@ -27,6 +27,7 @@ from repro.lang.ast import Assign, Const, ProcessDef, Program, SemP, SemV, Share
 from repro.lang.interpreter import run_program
 from repro.lang.scheduler import FixedScheduler
 from repro.model import serialize
+from repro.model.builder import ExecutionBuilder
 from repro.obs import StatusBoard
 from repro.obs.trace import RecordingSink, read_trace
 from repro.races import detector as detector_mod
@@ -98,26 +99,25 @@ class TestRetryPolicy:
         assert not p.should_retry(3)
 
     def test_backoff_grows_exponentially(self):
+        # the default policy jitters: retry k waits within the top half
+        # of base * factor**(k-1)
         p = RetryPolicy(backoff_base=0.1, backoff_factor=2.0)
-        assert p.delay(1) == pytest.approx(0.1)
-        assert p.delay(2) == pytest.approx(0.2)
-        assert p.delay(3) == pytest.approx(0.4)
+        for attempt, full in ((1, 0.1), (2, 0.2), (3, 0.4)):
+            assert full / 2 <= p.delay(attempt, key=(3, 7)) <= full
+        assert p.delay(0, key=(3, 7)) == 0.0
 
-    def test_state_escalation(self):
-        p = RetryPolicy(state_escalation=2.0)
-        assert p.escalated_states(100, 0) == 100
-        assert p.escalated_states(100, 1) == 200
-        assert p.escalated_states(100, 2) == 400
-        assert p.escalated_states(None, 2) is None
-
-    def test_jitter_defaults_off_and_keys_are_ignored_then(self):
+    def test_jitter_is_on_by_default_and_off_restores_exact_backoff(self):
         p = RetryPolicy(backoff_base=0.1, backoff_factor=2.0)
-        # with jitter off, a key must not perturb the exact schedule
-        assert p.delay(1, key=(3, 7)) == pytest.approx(0.1)
-        assert p.delay(2, key=(3, 7)) == pytest.approx(0.2)
+        assert p.jitter == 0.5
+        # jittered delays differ by key; with jitter off a key must not
+        # perturb the exact schedule
+        assert len({p.delay(1, key=(a, a + 1)) for a in range(5)}) > 1
+        exact = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, jitter=0.0)
+        assert exact.delay(1, key=(3, 7)) == pytest.approx(0.1)
+        assert exact.delay(2, key=(3, 7)) == pytest.approx(0.2)
 
     def test_jitter_is_deterministic_and_bounded(self):
-        p = RetryPolicy(backoff_base=0.1, jitter=0.5, jitter_seed=42)
+        p = RetryPolicy(backoff_base=0.1, jitter=0.5)
         d1 = p.delay(1, key=(3, 7))
         assert d1 == p.delay(1, key=(3, 7))  # same key: same delay
         # jitter only ever *shortens*, within the configured fraction
@@ -127,13 +127,10 @@ class TestRetryPolicy:
     def test_jitter_spreads_workers_after_a_shared_cause_crash(self):
         # N workers retrying the same attempt must not back off in
         # lockstep: their per-key delays should be well spread
-        p = RetryPolicy(backoff_base=1.0, jitter=0.5, jitter_seed=0)
+        p = RetryPolicy(backoff_base=1.0, jitter=0.5)
         delays = {p.delay(1, key=(a, a + 1)) for a in range(20)}
         assert len(delays) >= 15
         assert all(0.5 <= d <= 1.0 for d in delays)
-        # a different seed reshuffles deterministically
-        other = RetryPolicy(backoff_base=1.0, jitter=0.5, jitter_seed=1)
-        assert {other.delay(1, key=(a, a + 1)) for a in range(20)} != delays
 
 
 class TestResourceLimits:
@@ -474,33 +471,119 @@ class TestOnePoolRules:
     """``races --jobs N`` runs on the query pool: the worker settings,
     the attempt budget and the wall rule are the pool's."""
 
-    def test_jobs_2_follows_the_tier_ladder(self, tmp_path):
-        exe_path = tmp_path / "brawl.json"
-        serialize.save(contended_brawl_execution(5), str(exe_path))
-        reports = {}
+    @staticmethod
+    def _cli_reports(tmp_path, exe, *extra):
+        """``races --feasible`` at ``--jobs 1`` and ``--jobs 2``: the exit
+        statuses and the saved reports, by job count."""
+        exe_path = tmp_path / "exe.json"
+        serialize.save(exe, str(exe_path))
+        codes, reports = {}, {}
         for jobs in (1, 2):
             out = tmp_path / f"report{jobs}.json"
-            rc = cli_main([
+            codes[jobs] = cli_main([
                 "races", str(exe_path), "--feasible", "--jobs", str(jobs),
-                "--backends", "structural,observed", "--save", str(out),
+                "--save", str(out), *extra,
             ])
-            assert rc == 3  # the ladder leaves pairs unknown
             reports[jobs] = serialize.load_report(str(out))
+        return codes, reports
 
-        def classified(report):
-            return [(c.a, c.b, c.status, c.resource, c.decided_by)
-                    for c in report.classifications]
+    @staticmethod
+    def _classified(report):
+        return [(c.a, c.b, c.status, c.resource, c.decided_by)
+                for c in report.classifications]
 
-        def tier_table(report):
-            snap = report.planner.snapshot()
-            for tally in snap["tiers"].values():
-                del tally["elapsed"]  # wall time, the only free column
-            return snap
+    @staticmethod
+    def _tier_table(report):
+        snap = report.planner.snapshot()
+        for tally in snap["tiers"].values():
+            del tally["elapsed"]  # wall time, the only free column
+        return snap
 
-        assert classified(reports[2]) == classified(reports[1])
-        assert tier_table(reports[2]) == tier_table(reports[1])
+    def test_jobs_2_follows_the_tier_ladder(self, tmp_path):
+        codes, reports = self._cli_reports(
+            tmp_path, contended_brawl_execution(5),
+            "--backends", "structural,observed",
+        )
+        assert codes == {1: 3, 2: 3}  # the ladder leaves pairs unknown
+        assert self._classified(reports[2]) == self._classified(reports[1])
+        assert self._tier_table(reports[2]) == self._tier_table(reports[1])
         assert set(reports[1].planner.tiers) == {"structural", "observed"}
         assert reports[1].unknown_pairs
+
+    def test_jobs_2_ships_an_empty_feasible_set(self, tmp_path):
+        """F is empty (a P that no V releases): the scan's planner
+        settles FALSE before the pool starts and every worker takes it
+        as known, so ``--jobs 2`` prints the ``--jobs 1`` report."""
+        b = ExecutionBuilder()
+        b.process("A").write("x")
+        waiter = b.process("B")
+        waiter.sem_p("s")
+        waiter.write("x")
+        b.process("C").read("x")
+        b.dependence(0, 3)  # one pair's query runs on a relaxed F
+        # the observed schedule cannot replay: nothing confirms F
+        exe = b.build(observed_schedule=[0, 1, 2, 3])
+        codes, reports = self._cli_reports(tmp_path, exe)
+        assert codes == {1: 0, 2: 0}
+        assert self._classified(reports[2]) == self._classified(reports[1])
+        assert self._tier_table(reports[2]) == self._tier_table(reports[1])
+        assert {c.status for c in reports[1].classifications} == {
+            "infeasible"
+        }
+        assert len(reports[1].classifications) == 3
+
+    def test_ctrl_c_while_settling_base_feasibility_is_a_partial_scan(
+        self, monkeypatch
+    ):
+        detector = RaceDetector(masking_execution(3))
+
+        def interrupted(**kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(detector.planner, "feasible_verdict", interrupted)
+        report = detector.feasible_races(runner=SupervisedScanner(jobs=2))
+        assert report.interrupted and report.classifications == []
+
+    @staticmethod
+    def _unreplayable(exe):
+        """``exe`` with its processes' events observed in reverse process
+        order: a schedule that does not replay, so only the engine can
+        show that F is non-empty."""
+        doc = serialize.execution_to_dict(exe)
+        obs = list(exe.observed_schedule)
+        procs = sorted({exe.event(e).process for e in obs}, key=str)
+        doc["observed_schedule"] = sorted(obs, key=lambda e: (
+            -procs.index(exe.event(e).process), obs.index(e)
+        ))
+        return serialize.execution_from_dict(doc)
+
+    def test_per_pair_states_bound_the_base_feasibility_check(self, tmp_path):
+        """``--per-pair-states`` alone bounds every pair's query, the
+        parent's base feasibility check included: the engine cannot
+        show F non-empty in one state, so at ``--jobs 1`` and ``--jobs 2``
+        every pair the structural tier cannot settle stays unknown."""
+        exe = self._unreplayable(contended_brawl_execution(5))
+        codes, reports = self._cli_reports(
+            tmp_path, exe, "--per-pair-states", "1"
+        )
+        assert codes == {1: 3, 2: 3}
+        assert self._classified(reports[2]) == self._classified(reports[1])
+        undecided = {c.status for c in reports[2].classifications
+                     if c.decided_by != "structural"}
+        assert undecided == {"unknown"}
+
+    def test_memory_capped_pool_keeps_an_unbounded_base_check(self):
+        """With no state or time cap, the base feasibility check stays
+        in the workers, under their rlimit: the parent poses no query."""
+        exe = self._unreplayable(contended_brawl_execution(3))
+        sink = RecordingSink()
+        report = RaceDetector(exe).feasible_races(runner=SupervisedScanner(
+            jobs=1, limits=ResourceLimits(max_memory_mb=256), tracer=sink,
+        ), tracer=sink)
+        queries = [r for r in sink.records if r["kind"] == "query"]
+        assert queries and all("worker" in r for r in queries)
+        serial = RaceDetector(exe).feasible_races()
+        assert self._classified(report) == self._classified(serial)
 
     @needs_posix_kill
     def test_cold_workers_that_never_boot_end_at_the_scan_deadline(
