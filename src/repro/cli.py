@@ -51,9 +51,11 @@ distinguish a partial answer from a definite one (``0``) and from
 errors (``1``/``2``).
 
 Supervision: ``races --feasible`` scales out and survives crashes with
-``--jobs N`` (crash-isolated worker pool; each worker optionally under
+``--jobs N`` (the pairs whose ladder reaches the exact engine are
+searched in a crash-isolated worker pool, each worker optionally under
 ``--max-memory-mb`` kernel caps, dead pairs retried ``--retries``
-times), and survives *process* death with ``--checkpoint scan.jsonl``
+times; the polynomial tiers run in the scan's own process), and
+survives *process* death with ``--checkpoint scan.jsonl``
 (every classified pair is journaled durably; ``--resume`` skips them on
 the next run).  Ctrl-C during a scan drains the in-flight results,
 flushes the journal, prints the partial report and exits ``130``.
@@ -798,9 +800,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tighter per-pair state cap so one hard pair cannot "
                    "starve the scan")
     p.add_argument("--jobs", type=int, default=1,
-                   help="classify pairs in N crash-isolated worker processes "
-                   "(implies --feasible; a worker death marks its pair "
-                   "unknown, never kills the scan)")
+                   help="search the pairs that reach the exact engine in N "
+                   "crash-isolated worker processes (implies --feasible; "
+                   "a worker death marks its pair unknown, never kills "
+                   "the scan)")
     p.add_argument("--checkpoint", metavar="JOURNAL",
                    help="journal every classified pair to this JSONL file "
                    "(fsync'ed append per pair; implies --feasible)")

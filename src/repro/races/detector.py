@@ -10,15 +10,18 @@ results already computed nor starve the remaining pairs.
 
 :meth:`RaceDetector.feasible_races` is the one loop that runs a scan,
 serial or parallel.  It walks the pairs not already classified
-(``precomputed``, the checkpoint/resume path) and hands them to an
-*executor*: in-process :func:`classify_pair` on the scan-shared planner,
-or the crash-isolated pool of :class:`repro.supervise.SupervisedScanner`,
-which gets the base feasibility that planner settled first.  Each
-:class:`PairResult` that comes back is handled in one place -- the
-scan's one :class:`~repro.solve.planner.PlannerReport` and profile, the
-``pair`` trace record, ``on_classified`` (so a journal records a pair
-the moment it exists) and the status board -- and one ``try`` turns
-the first Ctrl-C anywhere in that loop into a partial report.
+(``precomputed``, the checkpoint/resume path) and hands them to one
+executor, which puts each pair through the scan-shared planner's ladder
+in this thread.  With a pool
+(:class:`repro.supervise.SupervisedScanner`) the ladder stops at the
+engine tier, and only the pairs that reach it are shipped to the
+pool's crash-isolated, capped workers: the polynomial tiers settle the
+rest here, at no per-pair hand-off.  Each :class:`PairResult` that
+comes back is handled in one place -- the scan's one
+:class:`~repro.solve.planner.PlannerReport` and profile, the ``pair``
+trace record, ``on_classified`` (so a journal records a pair the moment
+it exists) and the status board -- and one ``try`` turns the first
+Ctrl-C anywhere in that loop into a partial report.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import (
 )
 
 from repro.approx.vectorclock import VectorClockAnalysis
-from repro.budget import Budget, DEADLINE, Verdict
+from repro.budget import Budget, DEADLINE
 from repro.core.witness import Witness
 from repro.model.execution import ProgramExecution
 from repro.solve.context import EMPTY_DROP, SolveContext
@@ -192,7 +195,8 @@ def racing_drop(
     """The dependence edges between exactly ``a`` and ``b`` -- what a
     race query drops so the observed pairing cannot mask the race under
     test (see :meth:`RaceDetector.feasible_races`)."""
-    return frozenset((x, y) for (x, y) in exe.dependences if {x, y} == {a, b})
+    deps = exe.dependences
+    return frozenset(edge for edge in ((a, b), (b, a)) if edge in deps)
 
 
 def race_witness(exe: ProgramExecution, a: int, b: int, points) -> Witness:
@@ -222,22 +226,6 @@ def _pair_budget(
     )
 
 
-def _settle_base(
-    planner: QueryPlanner, runner, budget: Optional[Budget],
-    options: PairScanOptions,
-) -> Optional[Verdict]:
-    """Settle "is F non-empty" on the scan's planner before a pool
-    starts, under one pair's budget; ``None`` leaves a check that budget
-    leaves unbounded to workers under kernel ``limits`` (capped there,
-    not here).  In process, the first pair's query resolves it instead,
-    so a scan already past its deadline poses no query at all."""
-    check = _pair_budget(budget, options)
-    limits = getattr(runner, "limits", None)
-    if check is None and limits is not None and limits.any():
-        return None
-    return planner.feasible_verdict(budget=check)
-
-
 def classify_pair(
     exe: ProgramExecution,
     a: int,
@@ -248,7 +236,8 @@ def classify_pair(
     variables: Optional[FrozenSet[str]] = None,
     planner: Optional[QueryPlanner] = None,
     por: str = "sleep",
-) -> PairClassification:
+    stop_at: Optional[str] = None,
+) -> Optional[PairClassification]:
     """Classify one conflicting pair (the unit of work of a scan).
 
     Module-level (not a method) so worker processes can import it by
@@ -262,13 +251,20 @@ def classify_pair(
     precomputation stays valid.  ``por`` selects the exact engine's
     partial-order-reduction mode for the ephemeral planner; a provided
     ``planner`` already carries its own mode and ``por`` is ignored.
+
+    With ``stop_at`` (see
+    :meth:`~repro.solve.planner.QueryPlanner.answer`), a pair whose
+    ladder reaches that tier returns ``None``: a pool worker classifies
+    it.
     """
     if planner is None:
         planner = QueryPlanner(SolveContext(exe, por=por))
     if variables is None:
         variables = _conflict_variables(exe, a, b)
     drop = racing_drop(exe, a, b) if drop_racing_dependences else EMPTY_DROP
-    verdict = planner.ccw_verdict(a, b, drop=drop, budget=budget)
+    verdict = planner.ccw_verdict(a, b, drop=drop, budget=budget, stop_at=stop_at)
+    if verdict is None:
+        return None
     if verdict.is_true:
         witness = verdict.witness
         if witness is not None and drop:
@@ -285,44 +281,65 @@ def classify_pair(
     return PairClassification(a, b, UNKNOWN, variables, resource=verdict.resource)
 
 
-class _InProcess:
-    """The ``--jobs 1`` executor: :func:`classify_pair` on the scan's
-    shared planner, one pair per ``next()``.  Every executor has this
-    surface: ``start`` (with the base feasibility verdict the scan
-    settled up front, or ``None``: this planner resolves it in the first
-    pair's query); ``next`` (a :class:`PairResult`, a pool's worker
-    lifecycle record, or ``None`` when done); ``interrupt`` (start no
-    further pair); ``close``."""
+class _Ladder:
+    """The scan's one executor: each pair climbs the scan-shared
+    planner's ladder in this thread, one per ``next()``.
 
-    def __init__(self, planner: QueryPlanner, budget: Optional[Budget]) -> None:
-        self.planner, self.budget = planner, budget
-        self._tasks: Iterator[PairTask] = iter(())
+    Given a ``pool`` (a :class:`~repro.supervise.SupervisedScanner`),
+    the ladder stops at the ``engine`` tier and such a pair is submitted
+    to the pool, which starts at the first one (a scan with none spawns
+    no worker), with the base feasibility verdict this planner settled.
+    Once every pair has climbed, ``next`` hands back the pool's answers
+    and worker lifecycle records.
 
-    def start(self, exe: ProgramExecution, tasks: Sequence[PairTask],
-              options: PairScanOptions,
-              feasible: Optional[Verdict] = None) -> None:
-        self.exe, self.options = exe, options
-        self._tasks = iter(tasks)
+    ``interrupt`` starts no further pair (the pool drains the pairs in
+    flight); ``close`` stops the pool."""
 
-    def next(self) -> Optional[PairResult]:
+    def __init__(self, planner: QueryPlanner, budget: Optional[Budget],
+                 tasks: Sequence[PairTask], options: PairScanOptions,
+                 pool=None) -> None:
+        self.planner, self.budget, self.pool = planner, budget, pool
+        self.exe, self.options = planner.ctx.exe, options
+        self.stop_at = "engine" if pool is not None else None
+        self._tasks: Iterator[PairTask] = iter(tasks)
+        self._shipped = False
+
+    def next(self):
         for a, b, variables in self._tasks:
             if self.budget is not None and self.budget.expired():
                 return PairResult(PairClassification(
                     a, b, UNKNOWN, variables, resource=DEADLINE
                 ))
-            return PairResult(classify_pair(
+            c = classify_pair(
                 self.exe, a, b,
                 drop_racing_dependences=self.options.drop_racing_dependences,
                 budget=_pair_budget(self.budget, self.options),
                 variables=variables, planner=self.planner,
-            ))
-        return None
+                stop_at=self.stop_at,
+            )
+            if c is not None:
+                return PairResult(c)
+            self._ship((a, b, variables))
+        if not self._shipped:
+            return None
+        return self.pool.next()
+
+    def _ship(self, task: PairTask) -> None:
+        if not self._shipped:
+            self.pool.start(
+                self.exe, self.options, self.planner.base_feasibility()
+            )
+            self._shipped = True
+        self.pool.submit(task)
 
     def interrupt(self) -> None:
         self._tasks = iter(())
+        if self.pool is not None:
+            self.pool.interrupt()
 
     def close(self) -> None:
-        pass
+        if self.pool is not None:
+            self.pool.close()
 
 
 class RaceDetector:
@@ -422,13 +439,13 @@ class RaceDetector:
 
         ``precomputed`` maps ``(a, b)`` to an already-known
         classification (e.g. replayed from a checkpoint journal); those
-        pairs are not re-examined.  The rest go to ``runner`` -- an
-        executor such as :class:`~repro.supervise.SupervisedScanner`
-        (the crash-isolated pool) -- or, by default, to
-        :func:`classify_pair` on the shared planner in this thread.  A
-        pool gets the base feasibility ("is F non-empty") that the
-        shared planner settles before it starts (see :func:`_settle_base`);
-        in process, the first pair's query resolves it.
+        pairs are not re-examined.  The rest climb the shared planner's
+        ladder in this thread (:func:`classify_pair`); the first pair's
+        query resolves base feasibility ("is F non-empty").  Given a
+        ``runner`` -- a pool such as
+        :class:`~repro.supervise.SupervisedScanner` -- the ladder stops
+        at the engine tier, and only the pairs that reach it go to the
+        pool's capped workers, with that base feasibility verdict.
         ``on_classified`` is invoked once per *freshly computed*
         classification as soon as it is known, so a journal stays
         current even if the scan is later killed.  The first Ctrl-C
@@ -509,9 +526,6 @@ class RaceDetector:
                 planner.attach_profiler(profile)
             if board is not None:
                 planner.attach_board(board)
-            pooled = runner is not None
-            if not pooled:
-                runner = _InProcess(planner, budget)
             options = PairScanOptions(
                 drop_racing_dependences=drop_racing_dependences,
                 max_states=(
@@ -525,28 +539,25 @@ class RaceDetector:
                 por=self.por,
                 plan=self.plan,
             )
+            executor = _Ladder(planner, budget, todo, options, pool=runner)
 
             def fold_all() -> None:
-                result = runner.next()
+                result = executor.next()
                 while result is not None:
                     fold(result)
-                    result = runner.next()
+                    result = executor.next()
 
             try:
                 try:
-                    feasible = None
-                    if pooled:
-                        feasible = _settle_base(planner, runner, budget, options)
-                    runner.start(self.exe, todo, options, feasible)
                     fold_all()
                 except KeyboardInterrupt:
                     interrupted = True
                     if board is not None:
                         board.set_state("draining")  # /readyz answers 503
-                    runner.interrupt()
+                    executor.interrupt()
                     fold_all()  # a second Ctrl-C propagates
             finally:
-                runner.close()
+                executor.close()
                 planner.attach_profiler(None)
         if board is not None:
             board.set_state("interrupted" if interrupted else "done")

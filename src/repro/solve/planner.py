@@ -205,6 +205,8 @@ class QueryPlanner:
         self._tick_min_interval = 0.25
         self._memo: Dict[RelationQuery, Verdict] = {}
         self._resolving_feasibility = False
+        # the tier a stopped ladder left base feasibility to, if any
+        self._feasibility_left_to: Optional[str] = None
 
     # ------------------------------------------------------------------
     def attach_tracer(self, sink, *, tick_min_interval: float = 0.25) -> None:
@@ -260,22 +262,37 @@ class QueryPlanner:
         ``states_visited`` are identical with it on or off."""
         self.ctx.profile = profile
 
-    def _trace_query(
+    def _settle(
         self, query: RelationQuery, verdict: Verdict, attempts: List[Dict]
-    ) -> None:
-        self.tracer.emit(
-            {
+    ) -> Verdict:
+        """Tally one finished query and emit its ``query`` span: the
+        report folds the very record the trace gets, so a trace
+        re-aggregates into exactly the live table."""
+        decided = not verdict.is_unknown
+        traced = self.tracer is not None and self.tracer.enabled
+        if traced:
+            record = {
                 "kind": "query",
                 "relation": query.relation,
                 "a": query.a,
                 "b": query.b,
                 "drop": len(query.drop),
-                "decided": not verdict.is_unknown,
+                "decided": decided,
                 "verdict": str(verdict.truth),
-                "decided_by": None if verdict.is_unknown else verdict.provenance,
+                "decided_by": verdict.provenance if decided else None,
                 "tiers": attempts,
             }
-        )
+        else:
+            record = {"decided": decided, "tiers": attempts}
+        self.report.fold_query(record)
+        if traced:
+            self.tracer.emit(record)
+        return verdict
+
+    def base_feasibility(self) -> Optional[Verdict]:
+        """The definite "is F non-empty" verdict, if the ladder settled
+        it (read without posing or tallying a query)."""
+        return self._memo.get(RelationQuery(FEASIBLE))
 
     # ------------------------------------------------------------------
     def answer(
@@ -284,39 +301,35 @@ class QueryPlanner:
         *,
         budget: Optional[Budget] = None,
         max_states: Optional[int] = None,
-    ) -> Verdict:
-        """Run the ladder for one primitive query (never raises)."""
-        self.report.queries += 1
-        tracer = self.tracer
-        traced = tracer is not None and tracer.enabled
-        # per-tier attempts, mirroring the report increments one-for-one
-        # so summarize(trace) reproduces the report exactly
+        stop_at: Optional[str] = None,
+    ) -> Optional[Verdict]:
+        """Run the ladder for one primitive query (never raises).
+
+        ``stop_at`` names a tier the caller runs elsewhere (a pool
+        worker running the same plan): a ladder that reaches it returns
+        ``None``, with nothing tallied or traced, and the query is the
+        worker's to answer, as one query.  The tiers below the engine
+        decline without charging a cost, so stopping at the engine loses
+        no tally.  Base feasibility is
+        resolved under the same ``stop_at``; a check that stops there is
+        left to that tier and not retried below it."""
+        # per-tier attempts, one entry per report increment, so
+        # summarize(trace) reproduces the report exactly
         attempts: List[Dict] = []
 
-        def answered(tier: str, states: int = 0, elapsed: float = 0.0) -> None:
-            self.report.record_answer(tier, states=states, elapsed=elapsed)
-            if traced:
-                attempts.append(
-                    {"tier": tier, "states": states, "elapsed": elapsed,
-                     "answered": True}
-                )
-
-        def declined(tier: str, states: int = 0, elapsed: float = 0.0) -> None:
-            self.report.record_cost(tier, states=states, elapsed=elapsed)
-            if traced:
-                attempts.append(
-                    {"tier": tier, "states": states, "elapsed": elapsed,
-                     "answered": False}
-                )
+        def entry(tier: str, answered: bool, states: int = 0,
+                  elapsed: float = 0.0) -> Dict:
+            return {"tier": tier, "states": states, "elapsed": elapsed,
+                    "answered": answered}
 
         memo = self._memo.get(query)
         if memo is not None:
-            answered(tier_of(memo.provenance))
-            if traced:
-                self._trace_query(query, memo, attempts)
-            return memo
+            attempts.append(entry(tier_of(memo.provenance), True))
+            return self._settle(query, memo, attempts)
         if query.relation != FEASIBLE:
-            self._ensure_base_feasibility(budget=budget, max_states=max_states)
+            self._ensure_base_feasibility(
+                budget=budget, max_states=max_states, stop_at=stop_at
+            )
             if self.ctx.feasible is False and not query.drop:
                 # F is empty: every existential primitive is false.
                 # (Relaxed drops have a larger F; their ladder decides.)
@@ -324,51 +337,55 @@ class QueryPlanner:
                     self.ctx.feasible_provenance or "exact", stats=self.ctx.stats
                 )
                 self._memo[query] = verdict
-                answered(tier_of(verdict.provenance))
-                if traced:
-                    self._trace_query(query, verdict, attempts)
-                return verdict
+                attempts.append(entry(tier_of(verdict.provenance), True))
+                return self._settle(query, verdict, attempts)
         resource: Optional[str] = None
         try:
             for backend in self.backends:
+                if backend.name == stop_at:
+                    return None
                 ans = backend.answer(
                     query, self.ctx, budget=budget, max_states=max_states
                 )
                 if ans is None:
                     continue
+                attempts.append(
+                    entry(backend.name, ans.decided, ans.states, ans.elapsed)
+                )
                 if ans.decided:
                     self._memo[query] = ans.verdict
-                    answered(backend.name, states=ans.states, elapsed=ans.elapsed)
                     if query.relation == FEASIBLE and not query.drop:
                         self.ctx.feasible = ans.verdict.is_true
                         self.ctx.feasible_provenance = ans.verdict.provenance
-                    if traced:
-                        self._trace_query(query, ans.verdict, attempts)
-                    return ans.verdict
+                    return self._settle(query, ans.verdict, attempts)
                 resource = ans.verdict.resource or resource
-                declined(backend.name, states=ans.states, elapsed=ans.elapsed)
         except BaseException:
             # an interrupted ladder (Ctrl-C mid-search) still flushes the
             # costs already charged, keeping the trace and the report in
             # agreement even on partial scans
-            if traced:
-                self._trace_query(query, Verdict.unknown(), attempts)
+            self._settle(query, Verdict.unknown(), attempts)
             raise
-        self.report.unknown += 1
-        verdict = Verdict.unknown(resource=resource, stats=self.ctx.stats)
-        if traced:
-            self._trace_query(query, verdict, attempts)
-        return verdict
+        return self._settle(
+            query, Verdict.unknown(resource=resource, stats=self.ctx.stats),
+            attempts,
+        )
 
-    def _ensure_base_feasibility(self, *, budget, max_states) -> None:
+    def _ensure_base_feasibility(self, *, budget, max_states, stop_at) -> None:
         """Resolve "is F non-empty" once, through the ladder itself."""
-        if self.ctx.feasible is not None or self._resolving_feasibility:
+        if (
+            self.ctx.feasible is not None
+            or self._resolving_feasibility
+            or (stop_at is not None and stop_at == self._feasibility_left_to)
+        ):
             return
         self._resolving_feasibility = True
         try:
-            self.answer(
-                RelationQuery(FEASIBLE), budget=budget, max_states=max_states
+            checked = self.answer(
+                RelationQuery(FEASIBLE), budget=budget, max_states=max_states,
+                stop_at=stop_at,
             )
+            if checked is None:
+                self._feasibility_left_to = stop_at
         finally:
             self._resolving_feasibility = False
 

@@ -41,7 +41,7 @@ for the cost of one replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.engine import Point
 from repro.core.witness import IllegalScheduleError, Witness, replay_schedule
@@ -81,7 +81,8 @@ class WitnessCache:
         self.capacity = capacity
         self._entries: List[CacheEntry] = []
         self._versions: List[int] = []  # parallel to _entries
-        self._seen: set = set()
+        # the resident entries by point tuple (evicted with them)
+        self._index: Dict[Tuple[Point, ...], CacheEntry] = {}
         self.hits = 0
         self.rejected = 0
         #: monotonic count of successful adds (never decremented by
@@ -101,10 +102,9 @@ class WitnessCache:
         Duplicates are returned without re-validation.
         """
         key = tuple(points)
-        if key in self._seen:
-            for entry in self._entries:
-                if entry.witness.points == key:
-                    return entry
+        known = self._index.get(key)
+        if known is not None:
+            return known
         try:
             replay_schedule(
                 self.exe,
@@ -128,11 +128,11 @@ class WitnessCache:
         self.version += 1
         self._entries.append(entry)
         self._versions.append(self.version)
-        self._seen.add(key)
+        self._index[key] = entry
         if len(self._entries) > self.capacity:
             evicted = self._entries.pop(0)
             self._versions.pop(0)
-            self._seen.discard(evicted.witness.points)
+            del self._index[evicted.witness.points]
         return entry
 
     def add_witness(self, witness: Witness) -> Optional[CacheEntry]:

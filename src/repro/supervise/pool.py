@@ -22,7 +22,9 @@ when it forks, and the parent's supervisor, queue-feeder and HTTP
 threads run in another process.  Each worker still receives the
 parent's ``sys.path`` and runs its ``__main__`` module as
 ``__mp_main__``, as a spawned one does, so a calling script still needs
-its ``if __name__ == "__main__":`` guard.  Workers ignore ``SIGINT``
+its ``if __name__ == "__main__":`` guard; the server preloads the
+``repro`` modules the parent had imported when it started, so that
+re-run does not import them again.  Workers ignore ``SIGINT``
 and ``SIGTERM`` (the parent owns shutdown), install their ``setrlimit``
 caps before touching an execution, and receive each execution as its
 JSON document -- the same text a fingerprint covers.
@@ -42,19 +44,21 @@ a drain) as its timeout.  A dead worker's pipe is read to EOF before its
 job is failed, so a report sent just before exiting is never mistaken
 for an abandoned job.
 
-A scan's pool is the executor behind ``races --jobs N``
-(:class:`SupervisedScanner`): every pair is submitted up front as a
-``relation="race"`` request on a private pool, and each answer and
-lifecycle record goes back to the one scan loop,
-:meth:`~repro.races.detector.RaceDetector.feasible_races`, on the
-thread that called it.  On the loop's first ``KeyboardInterrupt`` the
-pool starts no further pair and waits a grace period for the answers of
-the pairs in flight; the loop returns that prefix flagged
-``interrupted`` (exit status 130 in the CLI).  A *second* interrupt
-during that drain means "now": it propagates, the workers are
-terminated, no more results are folded in and no further checkpoint
-records are written, so the journal tail stays whole (appends
-themselves are SIGINT-deferred, see :mod:`repro.supervise.checkpoint`).
+A scan's pool is the engine behind ``races --jobs N``
+(:class:`SupervisedScanner`): the one scan loop,
+:meth:`~repro.races.detector.RaceDetector.feasible_races`, puts every
+pair through the ladder below the engine tier itself and submits only
+the pairs that reach it, each as a ``relation="race"`` request on a
+private pool started at the first one; each answer and lifecycle
+record goes back to that loop, on the thread that called it.  On the
+loop's first ``KeyboardInterrupt`` the pool starts no further pair and
+waits a grace period for the answers of the pairs in flight; the loop
+returns that prefix flagged ``interrupted`` (exit status 130 in the
+CLI).  A *second* interrupt during that drain means "now": it
+propagates, the workers are terminated, no more results are folded in
+and no further checkpoint records are written, so the journal tail
+stays whole (appends themselves are SIGINT-deferred, see
+:mod:`repro.supervise.checkpoint`).
 
 Fault injection uses the process-wide failpoint registry
 (:mod:`repro.faults`).  A forked worker's registry and environment are
@@ -77,6 +81,7 @@ import multiprocessing as mp
 import os
 import queue
 import signal
+import sys
 import threading
 import time
 from collections import deque
@@ -386,8 +391,19 @@ _LIFELINE_CHECK = 1.0
 #: spans a traced worker buffers per job (they ride one pipe message)
 _TRACE_CAPACITY = 4096
 
-#: what the forkserver imports before it forks any worker
-_PRELOAD = ["repro.supervise.pool"]
+
+def _preload() -> List[str]:
+    """What the forkserver imports before it forks any worker: every
+    ``repro`` module this process has imported, this one included
+    (``repro.__main__``, the CLI entry point, aside).  A worker still
+    runs the caller's ``__main__`` script again, as ``__mp_main__``;
+    the ``repro`` imports that script makes are then done already."""
+    return sorted(
+        name for name in list(sys.modules)
+        if name.startswith("repro.") and name != "repro.__main__"
+    )
+
+
 _server_lock = threading.Lock()
 _server_started = False
 
@@ -410,7 +426,7 @@ def _worker_context():
     ctx = mp.get_context("forkserver")
     with _server_lock:
         if not _server_started:
-            ctx.set_forkserver_preload(_PRELOAD)
+            ctx.set_forkserver_preload(_preload())
             home = os.path.dirname(
                 os.path.dirname(os.path.abspath(faults_mod.__file__))
             )
@@ -995,31 +1011,43 @@ class _ScanPool(QueryWorkerPool):
 
 
 class SupervisedScanner:
-    """The ``--jobs N`` executor of
-    :meth:`~repro.races.detector.RaceDetector.feasible_races`: a scan's
-    pairs on a private :class:`QueryWorkerPool`, surviving worker death.
+    """The pool behind
+    :meth:`~repro.races.detector.RaceDetector.feasible_races`'s
+    ``--jobs N`` scans: the pairs whose ladder reaches the engine tier,
+    searched on a private :class:`QueryWorkerPool` whose workers run
+    under kernel caps and survive worker death.
 
-    :meth:`start` submits every pair up front, one ``relation="race"``
-    request each, under the pool's budget, wall-kill and retry rules (an
-    unbudgeted scan may run for days).  Each request carries the base
-    feasibility verdict the scan settled before it started, when that
-    verdict is definite (with the member of F that showed it), so no
-    worker checks it again; otherwise each fresh worker planner checks
-    it inside its first pair's tally.  :meth:`next` blocks on the scan
-    loop's thread for the next finished pair, a
-    :class:`~repro.races.detector.PairResult` with the worker's planner
-    and profile snapshots, or the next worker lifecycle record.
+    The scan's loop puts every pair through the tiers below the engine
+    in its own process; only a pair that reaches the engine comes here.
+    :meth:`start` starts the pool (its workers spawn now) when the first
+    such pair appears, so a scan that has none spawns no worker.
+    :meth:`submit` sends one pair as a ``relation="race"`` request,
+    under the pool's budget, wall-kill and retry rules (an unbudgeted
+    scan may run for days).  A worker runs the scan's whole plan: the
+    tiers below the engine decline at no cost unless the worker's own
+    warm caches (its member of F, the schedules of its earlier
+    searches) answer the pair, so a shipped pair is one span and one
+    tally, and the engine searches only what they cannot settle.  Each
+    request carries the base feasibility verdict the scan's planner
+    settled, when that verdict is definite (with the member of F that
+    showed it), so no worker checks it again; otherwise each fresh
+    worker planner checks it inside its first pair's tally.
+    :meth:`next` blocks on the scan loop's thread for the next finished
+    pair, a :class:`~repro.races.detector.PairResult` with the worker's
+    planner and profile snapshots, or the next worker lifecycle record.
     :meth:`interrupt` starts no further pair; the pairs in flight get
     ``drain_grace`` seconds to answer, and :meth:`next` hands back those
     answers only.
+
+    What is isolated: the engine's searches run in the capped workers;
+    the polynomial tiers run in the scan's process, outside ``limits``.
 
     Parameters
     ----------
     jobs:
         Worker process count (>= 1).
     limits:
-        Kernel caps installed in every worker (a scan with no state or
-        time cap leaves its base feasibility check to them).
+        Kernel caps installed in every worker.
     retry:
         Crash/retry policy (default: one retry, mild jittered backoff).
     drain_grace:
@@ -1055,24 +1083,25 @@ class SupervisedScanner:
         self.drain_grace = drain_grace
         self.tracer = tracer if tracer is not None else NULL_SINK
         self._pool: Optional[_ScanPool] = None
-        # what next() reads, also when a scan is interrupted before
-        # start() ran
+        # what next() reads, also when a scan never starts the pool
         self._events: "queue.SimpleQueue[Dict[str, Any]]" = queue.SimpleQueue()
+        self._tasks: List[PairTask] = []
         self._unanswered = 0
+        self._draining = False
         self._boot_failure: Optional[str] = None
 
     # ------------------------------------------------------------------
-    def start(self, exe, tasks: Sequence[PairTask], options: PairScanOptions,
+    def start(self, exe, options: PairScanOptions,
               feasible: Optional[Verdict] = None) -> None:
-        """Start a private pool and submit every pair of ``tasks``;
-        ``feasible`` is the scan's base feasibility verdict, if any."""
-        self._exe, self._tasks = exe, tasks
+        """Start a private pool for ``exe``'s pairs; ``feasible`` is the
+        scan's base feasibility verdict, if any."""
+        self._exe, self._tasks = exe, []
         self._events = queue.SimpleQueue()
         self._unanswered = 0
         self._draining = False
         self._boot_failure = None
         self._traced = self.tracer.enabled
-        request = {
+        self._request = {
             "fingerprint": serialize.execution_fingerprint(exe),
             "execution": serialize.canonical_json(exe),
             "relation": "race",
@@ -1085,17 +1114,23 @@ class SupervisedScanner:
             # only a worker that builds a fresh planner reads it
             w = feasible.witness
             points = () if w is None else w.points
-            request["feasible"] = (feasible.is_true, feasible.provenance,
-                                   [[p.eid, int(p.is_end)] for p in points])
+            self._request["feasible"] = (
+                feasible.is_true, feasible.provenance,
+                [[p.eid, int(p.is_end)] for p in points],
+            )
         self._pool = _ScanPool(
             self._events, options, workers=self.jobs, limits=self.limits,
             retry=self.retry, trace=self._traced,
         )
+
+    def submit(self, task: PairTask) -> None:
+        """Search one pair."""
+        a, b, _ = task
         # a fresh pool numbers its tasks from 0, so a task id is the
-        # index of its pair in ``tasks``
-        for a, b, _ in tasks:
-            self._pool.submit(dict(request, a=a, b=b))
-            self._unanswered += 1
+        # index of its pair in ``_tasks``
+        self._tasks.append(task)
+        self._pool.submit(dict(self._request, a=a, b=b))
+        self._unanswered += 1
 
     def next(self):
         """The next finished pair or lifecycle record; ``None`` once

@@ -222,14 +222,27 @@ class TestTraceMatchesReport:
         summary = summarize_trace(path)
         assert summary.planner.snapshot() == report.planner.snapshot()
         assert summary.worker_events.get("spawn", 0) >= 1
-        # the scan's own planner settles "is F non-empty" once, before
-        # the pool starts; every other query span came from a worker and
-        # says which one
-        queries = [r for r in read_trace(path) if r["kind"] == "query"]
+        # the scan's own planner settles "is F non-empty" once and every
+        # pair the tiers below the engine decide; each pair that reaches
+        # the engine is one span, from the worker that searched it (or
+        # whose witness cache held a schedule from an earlier search)
+        records = read_trace(path)
+        queries = [r for r in records if r["kind"] == "query"]
         parent = [r for r in queries if "worker" not in r]
-        assert [r["relation"] for r in parent] == ["feasible"]
-        assert len(queries) > 1
-        assert all("worker" in r for r in queries if r is not parent[0])
+        shipped = [r for r in queries if "worker" in r]
+        dispatched = [(r["a"], r["b"]) for r in records
+                      if r["kind"] == "worker.dispatch"]
+        below = {(c.a, c.b) for c in report.classifications} - set(dispatched)
+        assert [r["relation"] for r in parent] == ["feasible"] + ["ccw"] * len(below)
+        assert {(r["a"], r["b"]) for r in parent[1:]} == below
+        assert all(e["tier"] != "engine" for r in parent for e in r["tiers"])
+        assert sorted((r["a"], r["b"]) for r in shipped) == sorted(dispatched)
+        assert len(dispatched) == len(report.classifications) - len(below) > 0
+        decided_by = {(c.a, c.b): c.decided_by for c in report.classifications}
+        for r in shipped:
+            assert r["relation"] == "ccw"
+            assert [e["tier"] for e in r["tiers"]] in (["engine"], ["witness"])
+            assert decided_by[(r["a"], r["b"])] == r["decided_by"]
 
     def test_query_planner_traces_memo_hits_too(self):
         exe = masking_execution(2)

@@ -194,6 +194,57 @@ class TestWitnessReuse:
         assert cache.add(tuple(reversed(w.points))) is None
         assert cache.rejected == 1
 
+    @staticmethod
+    def _count_replays(monkeypatch):
+        from repro.solve import witnesses as witnesses_mod
+
+        real, calls = witnesses_mod.replay_schedule, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(witnesses_mod, "replay_schedule", counting)
+        return calls
+
+    def test_duplicate_add_returns_its_entry_without_replay(self, monkeypatch):
+        exe, x, y = conflict_execution()
+        cache = WitnessCache(exe)
+        w = SolveContext(exe).observed_witness()
+        first = cache.add(w.points)
+        replays = self._count_replays(monkeypatch)
+        assert cache.add(list(w.points)) is first
+        assert replays == []
+        assert len(cache) == 1 and cache.version == 1
+
+    def test_evicted_schedule_is_replayed_when_added_again(self, monkeypatch):
+        exe, x, y = conflict_execution()
+        cache = WitnessCache(exe, capacity=1)
+        w = SolveContext(exe).observed_witness()
+        first = cache.add(w.points)
+        # the widened overlap is a second member of F; it evicts the first
+        widened = cache.widen_overlap(x, y, frozenset(exe.dependences))
+        assert widened is not None and widened.points != w.points
+        assert len(cache) == 1 and cache.version == 2
+        replays = self._count_replays(monkeypatch)
+        again = cache.add(w.points)
+        assert again is not None and again is not first
+        assert len(replays) == 1
+        assert cache.version == 3
+        # ... and the widened schedule, evicted in turn, is replayed too
+        assert cache.add(widened.points) is not None
+        assert len(replays) == 2
+
+    def test_invalid_schedule_is_rejected_every_time(self):
+        exe, x, y = conflict_execution()
+        cache = WitnessCache(exe)
+        w = SolveContext(exe).observed_witness()
+        bad = tuple(reversed(w.points))
+        assert cache.add(bad) is None
+        assert cache.add(bad) is None  # never indexed as a known entry
+        assert cache.rejected == 2
+        assert len(cache) == 0 and cache.version == 0
+
     def test_unknown_is_not_memoized_retry_decides(self):
         exe, x, y = conflict_execution()
         planner = fresh_planner(exe, plan=("engine",))

@@ -32,6 +32,7 @@ from repro.obs import StatusBoard
 from repro.obs.trace import RecordingSink, read_trace
 from repro.races import detector as detector_mod
 from repro.races.detector import UNKNOWN, RaceDetector
+from repro.solve import QueryPlanner, SolveContext
 from repro.supervise import (
     JournalError,
     ResourceLimits,
@@ -40,6 +41,7 @@ from repro.supervise import (
     pair_count,
 )
 from repro.supervise.rlimits import apply_limits
+from repro.workloads import random_computation_overlay
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -62,7 +64,7 @@ def masking_execution(width: int = 3):
     return run_program(prog, FixedScheduler(schedule)).to_execution()
 
 
-def contended_brawl_execution(width: int = 5):
+def contended_brawl_execution(width: int = 5, memory_model: str = "sc"):
     """``width`` writers of ``x``; writers ``2g`` and ``2g+1`` guard
     their write with the lock cell ``m_g``, fed one token by a supplier
     (the contended brawl of ``benchmarks/bench_race_detection.py``).
@@ -76,6 +78,24 @@ def contended_brawl_execution(width: int = 5):
         procs.append(ProcessDef(
             f"w{k}",
             [SemP(f"m{k // 2}"), Assign("x", Const(k)), SemV(f"m{k // 2}")],
+        ))
+        schedule += [f"w{k}"] * 3
+    # a relaxed model adds store-buffer drain steps: a seeded schedule
+    scheduler = FixedScheduler(schedule) if memory_model == "sc" else 7
+    return run_program(
+        Program(procs), scheduler, memory_model=memory_model
+    ).to_execution()
+
+
+def mutex_execution(pairs: int = 3):
+    """``pairs`` pairs of writers, pair ``k`` writing ``x<k>``, every
+    writer inside one lock ``m``: each conflicting pair is infeasible,
+    and no tier below the engine can show it (nothing orders a pair
+    statically), so a pooled scan ships every pair to a worker."""
+    procs, schedule = [ProcessDef("s", [SemV("m")])], ["s"]
+    for k in range(2 * pairs):
+        procs.append(ProcessDef(
+            f"w{k}", [SemP("m"), Assign(f"x{k // 2}", Const(k)), SemV("m")],
         ))
         schedule += [f"w{k}"] * 3
     return run_program(Program(procs), FixedScheduler(schedule)).to_execution()
@@ -217,7 +237,9 @@ class TestSupervisedScanner:
         """Stress the hand-off between the pool's supervisor thread and
         the scanning thread: four workers, crashing and failing first
         attempts, a tiny switch interval.  Every pair is classified and
-        reported exactly once, every worker record follows its spawn."""
+        reported exactly once, every worker record follows its spawn,
+        and every pair whose ladder reached the engine is answered by
+        exactly one worker result."""
         exe = masking_execution(6)
         pairs = exe.conflicting_pairs()
         faults.arm(";".join([
@@ -248,12 +270,126 @@ class TestSupervisedScanner:
         records = sink.drain()
         spawned = {r["worker"] for r in records if r["kind"] == "worker.spawn"}
         assert {r["worker"] for r in records if "worker" in r} <= spawned
-        assert sum(r["kind"] == "worker.result" for r in records) == len(pairs)
+        # the engine decided exactly the shipped pairs (no pair is
+        # unknown here), each answered once; the parent decided the rest
+        engine_bound = sorted(
+            (c.a, c.b) for c in report.classifications
+            if c.decided_by == "exact"
+        )
+        assert pairs[0] in engine_bound and pairs[3] in engine_bound
+        assert sorted(
+            (r["a"], r["b"]) for r in records if r["kind"] == "worker.result"
+        ) == engine_bound
 
     def test_crash_then_replacement_never_loses_a_pair(self):
         # the scan side of the lost-job regression loop; the CI chaos
         # job runs the same loop for 200 iterations
         scan_crash_then_replacement_loop(3)
+
+    def test_expired_deadline_dispatches_nothing(self):
+        """The parent's pass honours an expired deadline: every pair is
+        ``unknown (deadline)`` before its ladder runs, so none reaches
+        the engine and the pool never starts."""
+        exe = masking_execution(3)
+        sink = RecordingSink()
+        report = RaceDetector(
+            exe, budget=Budget.of(timeout=0.0)
+        ).feasible_races(runner=SupervisedScanner(jobs=2, tracer=sink),
+                         tracer=sink)
+        assert [(c.status, c.resource) for c in report.classifications] == [
+            (UNKNOWN, "deadline")
+        ] * len(exe.conflicting_pairs())
+        kinds = [r["kind"] for r in sink.records]
+        assert "worker.dispatch" not in kinds and "worker.spawn" not in kinds
+        assert "query" not in kinds
+
+    def test_plan_without_engine_ships_nothing(self):
+        """Under a ladder with no engine tier the parent's pass is the
+        whole scan: the pairs it leaves open are ``unknown`` in the
+        parent, and no worker is spawned."""
+        exe = contended_brawl_execution(5)
+        plan = ("structural", "observed")
+        sink = RecordingSink()
+        pooled = RaceDetector(exe, plan=plan).feasible_races(
+            runner=SupervisedScanner(jobs=2, tracer=sink), tracer=sink
+        )
+        serial = RaceDetector(exe, plan=plan).feasible_races()
+        assert pooled.unknown_pairs
+        assert [(c.a, c.b, c.status, c.decided_by) for c in pooled.classifications] == [
+            (c.a, c.b, c.status, c.decided_by) for c in serial.classifications
+        ]
+        assert not any(r["kind"].startswith("worker.") for r in sink.records)
+
+    def test_first_ctrl_c_in_the_parents_pass_with_the_pool_up(self):
+        """The first Ctrl-C lands in the parent's pass -- on a pair its
+        structural tier decided, with more pairs still to climb -- while
+        the pool's workers are up and one searches a hanging pair: the
+        interrupted partial report comes back, and no worker outlives
+        the scan."""
+        exe = contended_brawl_execution(5)
+        pairs = exe.conflicting_pairs()
+        # the first pair reaches the engine and ships; the second is the
+        # structural tier's
+        faults.arm(pair_fault(pairs[0], "hang:600"))
+        scanner = SupervisedScanner(
+            jobs=2, drain_grace=0.5, retry=RetryPolicy(max_retries=0)
+        )
+        pids, seen = [], []
+
+        def ctrl_c(c):
+            seen.append(c)
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                up = [w for w in scanner._pool._slots
+                      if w is not None and w.ready]
+                if len(up) == scanner.jobs:
+                    break
+                time.sleep(0.01)
+            pids.extend(w.proc.pid for w in up)
+            raise KeyboardInterrupt
+
+        report = RaceDetector(exe).feasible_races(
+            runner=scanner, on_classified=ctrl_c
+        )
+        assert report.interrupted and not report.complete
+        assert len(pids) == 2
+        assert seen[0].decided_by == "structural"
+        got = by_pair(report)
+        assert pairs[1] in got and pairs[0] not in got
+        assert len(got) < len(pairs)
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+
+    def test_a_scanner_reused_after_an_interrupt_reports_crashes(self):
+        """An interrupted scan leaves its scanner draining; the next
+        scan on the same scanner still reports a pair whose worker
+        keeps dying as ``unknown (crash)`` instead of dropping it."""
+        exe = mutex_execution(3)
+        pairs = exe.conflicting_pairs()
+        scanner = SupervisedScanner(
+            jobs=1, drain_grace=0.5, retry=RetryPolicy(max_retries=0)
+        )
+
+        seen = []
+
+        def ctrl_c(c):
+            seen.append(c)
+            if len(seen) == 1:  # one Ctrl-C: drain, do not abort
+                raise KeyboardInterrupt
+
+        first = RaceDetector(exe).feasible_races(
+            runner=scanner, on_classified=ctrl_c
+        )
+        assert first.interrupted
+        faults.arm(pair_fault(pairs[0], "segv"))
+        report = RaceDetector(exe).feasible_races(runner=scanner)
+        got = by_pair(report)
+        assert not report.interrupted and sorted(got) == sorted(pairs)
+        assert (got[pairs[0]].status, got[pairs[0]].resource) == (
+            UNKNOWN, "crash"
+        )
 
     def test_expired_deadline_skips_search(self):
         exe = masking_execution(3)
@@ -287,6 +423,77 @@ def scan_crash_then_replacement_loop(iterations):
         assert got.status == serial[pair].status, (i, got)
         restarts = board.latest()["worker_spawns"] - scanner.jobs
         assert restarts == 1, (i, restarts)
+
+
+def _running(pid):
+    """Whether ``pid`` is a process that has not exited (a zombie
+    waiting for its reaper has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc: ask the kernel
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestPooledMatchesSerial:
+    """``--jobs 2`` against ``--jobs 1``, pair for pair: the same
+    status, variables and witness presence, every race witness
+    replaying, and exactly the pairs whose ladder reaches the engine
+    dispatched to a worker."""
+
+    CASES = {
+        **{f"masking{w}": (lambda w=w: masking_execution(w)) for w in (2, 3, 4)},
+        "brawl-sc": lambda: contended_brawl_execution(5),
+        "brawl-tso": lambda: contended_brawl_execution(5, memory_model="tso"),
+        # seeded semaphore-plus-data draws (Post/Wait/Clear draws have
+        # no shared data, so no conflicting pair)
+        **{f"random{seed}": (lambda seed=seed: random_computation_overlay(
+            processes=3, events_per_process=5, seed=seed))
+           for seed in (1, 2, 3, 4)},
+    }
+
+    @staticmethod
+    def _engine_bound(exe):
+        """The pairs whose ladder, on one planner in pair order, stops
+        at the engine tier -- what a pooled scan ships."""
+        planner = QueryPlanner(SolveContext(exe))
+        return [
+            (a, b) for a, b in exe.conflicting_pairs()
+            if detector_mod.classify_pair(
+                exe, a, b, planner=planner, stop_at="engine"
+            ) is None
+        ]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pooled_scan_matches_serial(self, case):
+        exe = self.CASES[case]()
+        sink = RecordingSink()
+        pooled = RaceDetector(exe).feasible_races(
+            runner=SupervisedScanner(jobs=2, tracer=sink), tracer=sink
+        )
+        serial = RaceDetector(exe).feasible_races()
+        assert pooled.complete and serial.complete
+        assert len(pooled.classifications) == len(exe.conflicting_pairs())
+        for p, s in zip(pooled.classifications, serial.classifications):
+            assert (p.a, p.b, p.status, p.variables) == (s.a, s.b, s.status, s.variables)
+            assert (p.witness is None) == (s.witness is None)
+            assert p.decided_by == s.decided_by
+        for report in (pooled, serial):
+            for race in report.races:
+                race.witness.validate()
+                assert race.witness.concurrent(race.a, race.b)
+        shipped = self._engine_bound(exe)
+        dispatched = [(r["a"], r["b"]) for r in sink.records
+                      if r["kind"] == "worker.dispatch"]
+        assert sorted(dispatched) == sorted(shipped)
+        assert {(c.a, c.b) for c in pooled.classifications
+                if c.decided_by == "exact"} == set(shipped)
 
 
 class TestSerialInterrupt:
@@ -535,12 +742,14 @@ class TestOnePoolRules:
     def test_ctrl_c_while_settling_base_feasibility_is_a_partial_scan(
         self, monkeypatch
     ):
+        # the first pair's query settles "is F non-empty" first, and the
+        # observed tier is where that check goes on this execution
         detector = RaceDetector(masking_execution(3))
 
-        def interrupted(**kwargs):
+        def interrupted():
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(detector.planner, "feasible_verdict", interrupted)
+        monkeypatch.setattr(detector.planner.ctx, "observed_witness", interrupted)
         report = detector.feasible_races(runner=SupervisedScanner(jobs=2))
         assert report.interrupted and report.classifications == []
 
@@ -572,16 +781,41 @@ class TestOnePoolRules:
                      if c.decided_by != "structural"}
         assert undecided == {"unknown"}
 
+    def test_workers_reuse_the_member_of_f_their_engine_found(
+        self, tmp_path
+    ):
+        """Twenty states per pair let the engine show F non-empty but
+        not finish some pair's own search.  A worker runs the whole
+        plan, so, as at ``--jobs 1``, its witness tier answers such a
+        pair from the member of F its base check found."""
+        exe = self._unreplayable(contended_brawl_execution(5))
+        codes, reports = self._cli_reports(
+            tmp_path, exe, "--per-pair-states", "20"
+        )
+        assert codes == {1: 3, 2: 3}
+        assert self._classified(reports[2]) == self._classified(reports[1])
+        assert ("feasible", "witness") in {
+            (c.status, c.decided_by) for c in reports[2].classifications
+        }
+
     def test_memory_capped_pool_keeps_an_unbounded_base_check(self):
-        """With no state or time cap, the base feasibility check stays
-        in the workers, under their rlimit: the parent poses no query."""
+        """With no state or time cap, every engine search -- the base
+        feasibility check's included -- stays in the workers, under
+        their rlimit: the parent's check stops below the engine and a
+        worker settles it."""
         exe = self._unreplayable(contended_brawl_execution(3))
         sink = RecordingSink()
         report = RaceDetector(exe).feasible_races(runner=SupervisedScanner(
             jobs=1, limits=ResourceLimits(max_memory_mb=256), tracer=sink,
         ), tracer=sink)
         queries = [r for r in sink.records if r["kind"] == "query"]
-        assert queries and all("worker" in r for r in queries)
+        parent = [r for r in queries if "worker" not in r]
+        searched = [r for r in queries
+                    if any(e["tier"] == "engine" for e in r["tiers"])]
+        assert searched and all("worker" in r for r in searched)
+        assert parent and all(r["relation"] != "feasible" for r in parent)
+        assert any(r["relation"] == "feasible" and r["decided_by"] == "exact"
+                   for r in searched)
         serial = RaceDetector(exe).feasible_races()
         assert self._classified(report) == self._classified(serial)
 
@@ -592,8 +826,10 @@ class TestOnePoolRules:
         """No worker ever reports ready, and the scan has a deadline
         but no per-pair timeout: the in-flight pairs are still killed
         at the deadline plus ``wall_grace`` (5 s) and classified
-        UNKNOWN (deadline), the queued ones at the deadline."""
-        exe = masking_execution(3)
+        UNKNOWN (deadline), the queued ones at the deadline.  Every
+        pair of this execution reaches the engine tier, so each one is
+        the pool's."""
+        exe = mutex_execution(3)
         exe_path = tmp_path / "exe.json"
         serialize.save(exe, str(exe_path))
         out = tmp_path / "report.json"
@@ -697,8 +933,9 @@ class TestForkedWorkers:
         naming the count and the exit code, and journals no pair as
         classified.  Kept to three pairs and two
         jobs, so even a pool without the rule starts only tens of
-        processes."""
-        exe = masking_execution(3)
+        processes; every pair reaches the engine tier, so every pair
+        needs a worker."""
+        exe = mutex_execution(3)
         assert len(exe.conflicting_pairs()) <= 3
         exe_path = tmp_path / "exe.json"
         serialize.save(exe, str(exe_path))
@@ -822,7 +1059,8 @@ class TestSecondInterruptDuringDrain:
     def test_hard_interrupt_reraises_without_torn_journal(self, tmp_path):
         from repro.supervise.checkpoint import CheckpointJournal, scan_fingerprint
 
-        exe = masking_execution(3)
+        # every pair reaches the engine: each append is a worker's answer
+        exe = mutex_execution(3)
         journal_path = str(tmp_path / "scan.jsonl")
         journal = CheckpointJournal.open(journal_path, scan_fingerprint(exe))
         hits = []
