@@ -54,7 +54,7 @@ from repro.core import (
 )
 from repro.lang import Program, ProcessDef, run_program
 from repro.lang.parser import ParseError, parse_program
-from repro.approx import BestEffortOrdering, HMWAnalysis, TaskGraph, VectorClockAnalysis
+from repro.approx import HMWAnalysis, TaskGraph, VectorClockAnalysis
 from repro.races import RaceDetector
 from repro.solve import PlannerReport, QueryPlanner, SolveContext
 from repro.reductions import (
@@ -102,7 +102,6 @@ __all__ = [
     "HMWAnalysis",
     "TaskGraph",
     "VectorClockAnalysis",
-    "BestEffortOrdering",
     # races
     "RaceDetector",
     # solver portfolio

@@ -20,7 +20,6 @@ paper points out:
 from repro.approx.vectorclock import VectorClockAnalysis
 from repro.approx.hmw import HMWAnalysis, InfeasibleTraceError
 from repro.approx.taskgraph import TaskGraph, TaskGraphEdge
-from repro.approx.combined import BestEffortOrdering
 
 __all__ = [
     "VectorClockAnalysis",
@@ -28,5 +27,4 @@ __all__ = [
     "InfeasibleTraceError",
     "TaskGraph",
     "TaskGraphEdge",
-    "BestEffortOrdering",
 ]

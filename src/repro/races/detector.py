@@ -231,34 +231,27 @@ def classify_pair(
     a: int,
     b: int,
     *,
+    planner: QueryPlanner,
     drop_racing_dependences: bool = True,
     budget: Optional[Budget] = None,
     variables: Optional[FrozenSet[str]] = None,
-    planner: Optional[QueryPlanner] = None,
-    por: str = "sleep",
     stop_at: Optional[str] = None,
 ) -> Optional[PairClassification]:
-    """Classify one conflicting pair (the unit of work of a scan).
+    """Classify one conflicting pair (the unit of work of a scan) on
+    ``planner``, which a scan or a pool worker shares across its pairs
+    (structural bitsets and every witness found so far carry over).
 
     Module-level (not a method) so worker processes can import it by
     name and run it against their own deserialized copy of the
-    execution.  ``planner`` lets a scan share one
-    :class:`~repro.solve.planner.QueryPlanner` across pairs (structural
-    bitsets and every witness found so far carry over); without one, an
-    ephemeral planner is built for the pair.
-    The racing pair's own dependence edges are expressed as a ``drop``
-    on the query rather than a rebuilt execution, so the shared
-    precomputation stays valid.  ``por`` selects the exact engine's
-    partial-order-reduction mode for the ephemeral planner; a provided
-    ``planner`` already carries its own mode and ``por`` is ignored.
+    execution.  The racing pair's own dependence edges are expressed
+    as a ``drop`` on the query rather than a rebuilt execution, so the
+    shared precomputation stays valid.
 
     With ``stop_at`` (see
     :meth:`~repro.solve.planner.QueryPlanner.answer`), a pair whose
     ladder reaches that tier returns ``None``: a pool worker classifies
     it.
     """
-    if planner is None:
-        planner = QueryPlanner(SolveContext(exe, por=por))
     if variables is None:
         variables = _conflict_variables(exe, a, b)
     drop = racing_drop(exe, a, b) if drop_racing_dependences else EMPTY_DROP

@@ -6,7 +6,6 @@ Public surface:
   ``Backend`` -- the backend protocol;
 * :data:`~repro.solve.backends.BACKENDS`,
   :data:`~repro.solve.backends.DEFAULT_PLAN`,
-  :data:`~repro.solve.backends.BEST_EFFORT_PLAN`,
   :func:`~repro.solve.backends.resolve_plan` -- the registry;
 * :class:`~repro.solve.context.SolveContext` -- shared per-execution
   precomputation (reachability bitsets, witness cache);
@@ -17,7 +16,6 @@ Public surface:
 
 from repro.solve.backends import (
     BACKENDS,
-    BEST_EFFORT_PLAN,
     DEFAULT_PLAN,
     resolve_plan,
 )
@@ -37,7 +35,6 @@ from repro.solve.witnesses import WitnessCache
 
 __all__ = [
     "BACKENDS",
-    "BEST_EFFORT_PLAN",
     "Backend",
     "BackendAnswer",
     "CCB",

@@ -290,11 +290,6 @@ BACKENDS: Dict[str, Type[Backend]] = {
 #: the sound cheapest-first ladder used by default everywhere
 DEFAULT_PLAN: Tuple[str, ...] = ("structural", "observed", "witness", "hmw", "engine")
 
-#: the plan mirroring BestEffortOrdering's historical four layers
-#: (no witness tier: its mcb answers are attributed to the layer that
-#: found the schedule, keeping provenance accounting stable)
-BEST_EFFORT_PLAN: Tuple[str, ...] = ("structural", "observed", "hmw", "engine")
-
 
 def resolve_plan(names) -> Tuple[Backend, ...]:
     """Instantiate a plan from backend names, validating eagerly."""
@@ -312,7 +307,6 @@ def resolve_plan(names) -> Tuple[Backend, ...]:
 __all__ = [
     "BACKENDS",
     "DEFAULT_PLAN",
-    "BEST_EFFORT_PLAN",
     "resolve_plan",
     "StructuralBackend",
     "ObservedBackend",

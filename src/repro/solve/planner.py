@@ -6,8 +6,8 @@ first, under the caller's per-call :class:`~repro.budget.Budget`.  On
 top of the primitives it exposes the three-valued relation facades
 (``chb_verdict`` ... ``mcb_verdict``, via the Table 1 dualities) that
 ``OrderingQueries`` reads its booleans and witnesses off, so the query
-layer, the best-effort analyzer and the race detector all route
-through one place.
+layer, the race detector and the query daemon all route through one
+place.
 
 Invariants the planner maintains:
 

@@ -74,6 +74,7 @@ by the job's *attempt* number (which survives worker replacement), so
 
 from __future__ import annotations
 
+import fcntl
 import gc
 import itertools
 import json
@@ -183,13 +184,20 @@ def _query_worker_main(task_q, conn, lifeline, conf) -> None:
     daemon request) the planner resolves "is F non-empty" inside the
     first query's own tally and trace, like any other query it poses.
 
-    ``lifeline`` is the read end of a pipe only the pool holds open: at
-    EOF (the pool retired this worker, or its process died) an idle
-    worker exits, since the task queue, whose write end every worker
-    holds too, never reports one.
+    ``lifeline`` is the read end of a pipe only the pool holds open.
+    It is armed for ``SIGIO`` (``O_ASYNC``, owned by this process), so
+    the kernel ends the worker, busy or idle, the moment the pool
+    closes the write end or its process dies: the task queue, whose
+    write end every worker holds too, never reports either.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns shutdown
     signal.signal(signal.SIGTERM, signal.SIG_IGN)  # ... and drain
+    signal.signal(signal.SIGIO, signal.SIG_DFL)  # the lifeline: terminate
+    fcntl.fcntl(lifeline.fileno(), fcntl.F_SETOWN, os.getpid())
+    flags = fcntl.fcntl(lifeline.fileno(), fcntl.F_GETFL)
+    fcntl.fcntl(lifeline.fileno(), fcntl.F_SETFL, flags | os.O_ASYNC)
+    if lifeline.poll():  # the pool went before the signal was armed
+        return
     # the registry came armed (or not) from the forkserver's environment
     faults_mod.adopt(conf.get("failpoints"))
     limits = conf.get("rlimits")
@@ -213,12 +221,7 @@ def _query_worker_main(task_q, conn, lifeline, conf) -> None:
     faults_mod.fire("pool.worker.start")
     conn.send((None, "ready", None))
     while True:
-        try:
-            msg = task_q.get(timeout=_LIFELINE_CHECK)
-        except queue.Empty:
-            if lifeline.poll():  # readable means EOF: the pool is gone
-                return
-            continue
+        msg = task_q.get()
         if msg is None:
             return
         task_id, req, attempt, timeout = msg
@@ -386,8 +389,6 @@ class _Worker:
 #: worker's status because the forkserver died (say, a process-group
 #: SIGTERM): not a real exit, and the worker may still be running
 _NO_STATUS = 255
-#: how often an idle worker checks its lifeline, in seconds
-_LIFELINE_CHECK = 1.0
 #: spans a traced worker buffers per job (they ride one pipe message)
 _TRACE_CAPACITY = 4096
 

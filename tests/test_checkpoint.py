@@ -46,12 +46,12 @@ class TestFingerprint:
         assert scan_fingerprint(exe) != scan_fingerprint(other)
 
     def test_sensitive_to_solver_plan(self, exe):
-        from repro.solve.backends import BEST_EFFORT_PLAN, DEFAULT_PLAN
+        from repro.solve.backends import DEFAULT_PLAN
 
         # resuming under a different ladder would mix verdict strengths
         # in one journal, so the plan is part of the scan identity
         assert scan_fingerprint(exe, plan=DEFAULT_PLAN) != scan_fingerprint(
-            exe, plan=BEST_EFFORT_PLAN
+            exe, plan=("structural", "observed", "hmw", "engine")
         )
         assert scan_fingerprint(exe, plan=DEFAULT_PLAN) == scan_fingerprint(
             exe, plan=list(DEFAULT_PLAN)
@@ -59,7 +59,7 @@ class TestFingerprint:
         assert scan_fingerprint(exe) != scan_fingerprint(exe, plan=DEFAULT_PLAN)
 
     def test_resume_with_changed_plan_is_refused(self, exe, tmp_path):
-        from repro.solve.backends import BEST_EFFORT_PLAN, DEFAULT_PLAN
+        from repro.solve.backends import DEFAULT_PLAN
 
         path = str(tmp_path / "scan.jsonl")
         with CheckpointJournal.open(
@@ -68,7 +68,9 @@ class TestFingerprint:
             RaceDetector(exe).feasible_races(on_classified=journal.append)
         with pytest.raises(JournalMismatchError, match="solver plan"):
             CheckpointJournal.open(
-                path, scan_fingerprint(exe, plan=BEST_EFFORT_PLAN), resume=True
+                path,
+                scan_fingerprint(exe, plan=("structural", "observed", "hmw", "engine")),
+                resume=True,
             )
 
 

@@ -1150,6 +1150,69 @@ def _wait_ready(port, timeout=60.0):
     raise AssertionError("daemon never became ready")
 
 
+#: owns a one-worker pool, gets its worker busy in a hung job or idle
+#: after one answered query, prints the worker's pid and waits to die
+_POOL_OWNER = r"""
+import json, sys, time
+from repro import faults
+from repro.supervise.pool import QueryWorkerPool
+
+request = json.loads(sys.stdin.readline())
+busy = sys.argv[1] == "busy"
+if busy:
+    faults.arm("pool.task=hang:600")
+pool = QueryWorkerPool(workers=1)
+tid = pool.submit(request)
+if busy:
+    while not (pool._slots[0] is not None and pool._slots[0].ready):
+        time.sleep(0.01)
+    time.sleep(0.2)  # the job queued before ready: it is in the hang now
+else:
+    assert pool.result(tid, timeout=120.0)["verdict"] == "TRUE"
+print(pool._slots[0].proc.pid, flush=True)
+time.sleep(600)
+"""
+
+
+@needs_posix_kill
+class TestWorkerLifeline:
+    @pytest.mark.parametrize("state", ["busy", "idle"])
+    def test_worker_dies_with_the_process_that_owns_its_pool(self, state):
+        """SIGKILL the pool's owner, and only it: the worker's lifeline
+        closes with it, and the kernel ends the worker at once, in the
+        middle of a job or waiting for one.  (A worker that checked its
+        lifeline once a second could linger that long, so the bound is
+        half of it.)"""
+        request = _query_request(masking_execution(2), "feasible", timeout=600.0)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER, state],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            owner.stdin.write(json.dumps(request) + "\n")
+            owner.stdin.flush()
+            worker = int(owner.stdout.readline())
+            assert _running(worker)
+            os.kill(owner.pid, signal.SIGKILL)
+            owner.wait(timeout=10.0)
+            deadline = time.monotonic() + 0.5
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not _running(worker), f"{state} worker outlived its pool"
+        finally:
+            try:
+                os.killpg(owner.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            owner.wait(timeout=10.0)
+
+
 @needs_posix_kill
 class TestCliServeDaemon:
     def test_sigterm_after_crashy_query_drains_cleanly_exit_0(self, tmp_path):

@@ -30,7 +30,6 @@ from repro.sat.cnf import parse_dimacs
 from repro.sat.dpll import DPLLSolver, SolveBudgetExceeded
 from repro.solve import (
     BACKENDS,
-    BEST_EFFORT_PLAN,
     DEFAULT_PLAN,
     PlannerReport,
     QueryPlanner,
@@ -300,7 +299,8 @@ class TestPlans:
 
     def test_named_plans_resolve(self):
         assert len(resolve_plan(DEFAULT_PLAN)) == len(DEFAULT_PLAN)
-        assert len(resolve_plan(BEST_EFFORT_PLAN)) == len(BEST_EFFORT_PLAN)
+        plan = ("structural", "observed", "hmw", "engine")
+        assert len(resolve_plan(plan)) == len(plan)
 
     def test_tier_of_maps_exact_to_engine(self):
         assert tier_of("exact") == "engine"
